@@ -15,24 +15,20 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.codes.base import (
-    Block,
-    EncodedObject,
-    ReconstructError,
-    RedundancyScheme,
-    RepairError,
-    RepairOutcome,
-)
+from repro.codes.base import Block, EncodedObject, RepairOutcome
+from repro.codes.regenerating_scheme import RegeneratingCodeScheme
 from repro.core.blocks import Piece
 from repro.core.params import RCParams
-from repro.core.regenerating import DecodingError, RandomLinearRegeneratingCode
 from repro.gf.field import GaloisField
 
 __all__ = ["RandomLinearErasureScheme"]
 
 
-class RandomLinearErasureScheme(RedundancyScheme):
-    """A (k, h) random linear erasure code with the classic repair rule."""
+class RandomLinearErasureScheme(RegeneratingCodeScheme):
+    """A (k, h) random linear erasure code with the classic repair rule.
+
+    Everything but the repair is RC(k, h, k, 0) and inherited as such.
+    """
 
     name = "erasure"
 
@@ -43,77 +39,12 @@ class RandomLinearErasureScheme(RedundancyScheme):
         field: GaloisField | None = None,
         rng: np.random.Generator | None = None,
     ):
-        self.params = RCParams.erasure(k, h)
-        self.code = RandomLinearRegeneratingCode(self.params, field=field, rng=rng)
+        super().__init__(RCParams.erasure(k, h), field=field, rng=rng)
         self.name = f"erasure(k={k},h={h})"
-
-    @property
-    def field(self) -> GaloisField:
-        return self.code.field
-
-    @property
-    def k(self) -> int:
-        return self.params.k
-
-    @property
-    def h(self) -> int:
-        return self.params.h
-
-    @property
-    def total_blocks(self) -> int:
-        return self.params.total_pieces
-
-    @property
-    def reconstruction_degree(self) -> int:
-        return self.params.k
-
-    # ------------------------------------------------------------------
-    # computation accounting (the RC(k, h, k, 0) degenerate cost model)
-    # ------------------------------------------------------------------
-
-    def _cost_model(self, file_size: int):
-        from repro.core.costs import CostModel
-
-        return CostModel(self.params, max(file_size, 1), q=self.field.q)
-
-    def insert_computation_ops(self, file_size: int) -> float:
-        return float(self._cost_model(file_size).encoding_ops())
 
     def repair_computation_ops(self, file_size: int) -> float:
         """Participants are free (they upload verbatim); newcomer combines."""
         return float(self._cost_model(file_size).newcomer_repair_ops())
-
-    def reconstruct_computation_ops(self, file_size: int) -> float:
-        model = self._cost_model(file_size)
-        lower, _ = model.inversion_ops_bounds()
-        return float(lower) + float(model.decoding_ops())
-
-    # ------------------------------------------------------------------
-    # life cycle
-    # ------------------------------------------------------------------
-
-    def _block_from_piece(self, piece: Piece) -> Block:
-        return Block(
-            index=piece.index,
-            content=piece,
-            payload_bytes=piece.storage_bytes(self.field),
-        )
-
-    def encode(self, data: bytes) -> EncodedObject:
-        encoded = self.code.insert(data)
-        blocks = tuple(self._block_from_piece(piece) for piece in encoded.pieces)
-        return EncodedObject(
-            blocks=blocks,
-            file_size=len(data),
-            meta={"padded_size": encoded.padded_size, "n_file": encoded.n_file},
-        )
-
-    def reconstruct(self, encoded: EncodedObject, blocks: list[Block]) -> bytes:
-        pieces = [block.content for block in blocks]
-        try:
-            return self.code.reconstruct(pieces, encoded.file_size)
-        except DecodingError as exc:
-            raise ReconstructError(str(exc)) from exc
 
     def repair(
         self, encoded: EncodedObject, available: Mapping[int, Block], lost_index: int
@@ -125,14 +56,7 @@ class RandomLinearErasureScheme(RedundancyScheme):
         the new piece as one random linear combination of the k received
         pieces (section 3.1, maintenance).
         """
-        if not 0 <= lost_index < self.total_blocks:
-            raise RepairError(f"no block slot {lost_index}")
-        survivors = sorted(index for index in available if index != lost_index)
-        if len(survivors) < self.k:
-            raise RepairError(
-                f"repair needs k={self.k} pieces, only {len(survivors)} survive"
-            )
-        participants = survivors[: self.k]
+        participants = self._repair_participants(available, lost_index)  # d == k
         pieces: list[Piece] = [available[index].content for index in participants]
         received_data = np.concatenate([piece.data for piece in pieces], axis=0)
         received_coeffs = np.concatenate([piece.coefficients for piece in pieces], axis=0)

@@ -171,14 +171,12 @@ class HierarchicalCodeScheme(RedundancyScheme):
             raise ReconstructError("no blocks supplied")
         stacked = np.stack([block.content.coefficients for block in blocks])
         try:
-            selected = linalg.extract_independent_rows(self.field, stacked, self.k)
+            selected, inverse = linalg.extract_and_invert(self.field, stacked, self.k)
         except linalg.LinAlgError as exc:
             raise ReconstructError(
                 "blocks do not span the file (hierarchical codes lose the "
                 f"any-k property): {exc}"
             ) from exc
-        square = stacked[selected]
-        inverse = linalg.inverse(self.field, square)
         rows = np.stack([blocks[sel].content.data for sel in selected])
         fragments = linalg.gf_matmul(self.field, inverse, rows)
         data = self.field.elements_to_bytes(fragments.reshape(-1))
@@ -269,14 +267,12 @@ class HierarchicalCodeScheme(RedundancyScheme):
             else self.field.zeros((0, self.k))
         )
         try:
-            selected = linalg.extract_independent_rows(self.field, stacked, self.k)
+            selected, inverse = linalg.extract_and_invert(self.field, stacked, self.k)
         except linalg.LinAlgError as exc:
             raise RepairError(
                 f"global repair impossible: survivors have rank < k ({exc})"
             ) from exc
         participants = tuple(ordered[sel].index for sel in selected)
-        square = stacked[selected]
-        inverse = linalg.inverse(self.field, square)
         rows = np.stack([ordered[sel].content.data for sel in selected])
         fragments = linalg.gf_matmul(self.field, inverse, rows)
         row = (

@@ -125,9 +125,10 @@ class RegeneratingCodeScheme(RedundancyScheme):
         except DecodingError as exc:
             raise ReconstructError(str(exc)) from exc
 
-    def repair(
-        self, encoded: EncodedObject, available: Mapping[int, Block], lost_index: int
-    ) -> RepairOutcome:
+    def _repair_participants(
+        self, available: Mapping[int, Block], lost_index: int
+    ) -> list[int]:
+        """The ``d`` lowest surviving block indices, or :class:`RepairError`."""
         if not 0 <= lost_index < self.total_blocks:
             raise RepairError(f"no block slot {lost_index}")
         survivors = sorted(index for index in available if index != lost_index)
@@ -136,7 +137,12 @@ class RegeneratingCodeScheme(RedundancyScheme):
                 f"repair needs d={self.params.d} participants, "
                 f"only {len(survivors)} blocks survive"
             )
-        participants = survivors[: self.params.d]
+        return survivors[: self.params.d]
+
+    def repair(
+        self, encoded: EncodedObject, available: Mapping[int, Block], lost_index: int
+    ) -> RepairOutcome:
+        participants = self._repair_participants(available, lost_index)
         pieces = [available[index].content for index in participants]
         uploads = [self.code.participant_contribution(piece) for piece in pieces]
         new_piece = self.code.newcomer_repair(uploads, lost_index)

@@ -175,9 +175,9 @@ GF_LINALG_FUNCTIONS = frozenset(
     {
         "gf_matmul",
         "gf_matvec",
-        # repro.gf.kernels -- names are deliberately unique (a bare
-        # "matmul"/"matvec" here would false-positive on numpy's own).
-        "matmul_blocked",
+        # repro.gf.kernels -- its bare "matmul"/"matvec" are left out
+        # (they would false-positive on numpy's own); callers reach
+        # those through gf_matmul / gf_matvec.
         "matmul_sharded",
         "rref",
         "inverse",

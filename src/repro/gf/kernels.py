@@ -1,4 +1,4 @@
-"""Batched, cache-blocked GF(2^q) matmul kernels with pluggable backends.
+"""Batched, cache-blocked GF(2^q) matmul kernels.
 
 The paper's section 5.2 bottleneck-bandwidth analysis asks whether CPU or
 network limits a deployment; the answer hinges on how fast the GF(2^16)
@@ -8,7 +8,7 @@ through :func:`matmul` (via :func:`repro.gf.linalg.gf_matmul`).
 
 Three ideas, composable and individually testable:
 
-1. **Fused log/exp lookups** (:func:`matmul_blocked`).  The field's
+1. **Fused log/exp lookups** (:func:`matmul`).  The field's
    zero-extended tables (``GaloisField._log0`` / ``_exp0``) make
    ``exp0[log0[a] + log0[b]]`` exact for *all* operands including zero, so
    the kernels never touch the classic ``log[0]`` sentinel hazard.  The
@@ -25,22 +25,18 @@ Three ideas, composable and individually testable:
    inversion helpers, coefficient-only algebra) a broadcast path over
    :data:`DEFAULT_ROW_BLOCK`-row tiles avoids Python loop overhead.
 
-3. **Pluggable backends and fan-out.**  ``REPRO_GF_BACKEND`` selects the
-   kernel implementation: ``numpy`` (always available, the default),
-   ``numba`` (JIT-compiled, import-gated -- silently unavailable when
-   numba is not installed, with a one-time warning if explicitly
-   requested), or ``reference`` (the original broadcast algorithm, kept
-   for cross-backend equivalence tests).  :func:`matmul_sharded` fans a
-   single product out over disjoint column shards with a thread pool
-   (``REPRO_GF_WORKERS``) -- numpy gathers release the GIL, and results
-   are byte-identical for any worker count because shards never overlap.
+3. **Fan-out.**  :func:`matmul_sharded` fans a single product out over
+   disjoint column shards with a thread pool (``REPRO_GF_WORKERS``) --
+   numpy gathers release the GIL, and results are byte-identical for any
+   worker count because shards never overlap.
+
+:func:`_matmul_reference`, the seed broadcast algorithm, is not reachable
+at run time; it stays as the oracle the kernel tests compare against.
 """
 
 from __future__ import annotations
 
-import logging
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -48,25 +44,15 @@ import numpy as np
 from repro.gf.field import GaloisField
 
 __all__ = [
-    "BACKEND_ENV",
     "WORKERS_ENV",
     "DEFAULT_COL_BLOCK",
     "DEFAULT_ROW_BLOCK",
-    "available_backends",
     "active_backend",
-    "set_backend",
     "default_workers",
     "matmul",
     "matvec",
-    "matmul_blocked",
     "matmul_sharded",
 ]
-
-logger = logging.getLogger(__name__)
-
-#: Environment variable naming the kernel backend (``numpy`` | ``numba`` |
-#: ``reference``).  Read once per process at first kernel call.
-BACKEND_ENV = "REPRO_GF_BACKEND"
 
 #: Environment variable bounding the column-shard thread fan-out used by
 #: :func:`matmul_sharded` (and through it, large Coordinator insertions).
@@ -109,7 +95,7 @@ def _check_block(name: str, value: int) -> int:
     return value
 
 
-def matmul_blocked(
+def matmul(
     field: GaloisField,
     a,
     b,
@@ -167,9 +153,18 @@ def matmul_blocked(
 
 
 def _matmul_reference(
-    field: GaloisField, a, b, *, row_block: int = DEFAULT_ROW_BLOCK
+    field: GaloisField,
+    a,
+    b,
+    *,
+    col_block: int = DEFAULT_COL_BLOCK,
+    row_block: int = DEFAULT_ROW_BLOCK,
 ) -> np.ndarray:
-    """The seed broadcast algorithm, kept verbatim as an oracle backend."""
+    """The seed broadcast algorithm, kept verbatim as the test oracle.
+
+    Takes :func:`matmul`'s signature so a test can substitute it for the
+    kernel; it has no column tiling, so ``col_block`` is unused.
+    """
     a, b = _validate(field, a, b)
     row_block = _check_block("row_block", row_block)
     out = field.zeros((a.shape[0], b.shape[1]))
@@ -180,130 +175,9 @@ def _matmul_reference(
     return out
 
 
-# ----------------------------------------------------------------------
-# optional numba backend (import-gated; the container may not have numba)
-# ----------------------------------------------------------------------
-
-_numba_kernel = None
-_numba_failed = False
-
-
-def _load_numba_kernel():
-    """Compile the numba matmul on first use; None when numba is absent."""
-    global _numba_kernel, _numba_failed
-    if _numba_kernel is not None or _numba_failed:
-        return _numba_kernel
-    try:
-        import numba
-    except ImportError:
-        _numba_failed = True
-        return None
-
-    @numba.njit(cache=True, parallel=False)
-    def _kernel(log_a, b, log0, exp0, sentinel, out):  # pragma: no cover
-        m, k = log_a.shape
-        n = b.shape[1]
-        for i in range(m):
-            for j in range(k):
-                la = log_a[i, j]
-                if la == sentinel:
-                    continue
-                row = b[j]
-                if la == 0:
-                    for c in range(n):
-                        out[i, c] ^= row[c]
-                else:
-                    for c in range(n):
-                        out[i, c] ^= exp0[la + log0[row[c]]]
-        return out
-
-    _numba_kernel = _kernel
-    return _numba_kernel
-
-
-def _matmul_numba(field: GaloisField, a, b) -> np.ndarray:
-    kernel = _load_numba_kernel()
-    if kernel is None:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    a, b = _validate(field, a, b)
-    out = field.zeros((a.shape[0], b.shape[1]))
-    if 0 in (*a.shape, b.shape[1]):
-        return out
-    log_a = field._log0[a]
-    return kernel(
-        log_a,
-        np.ascontiguousarray(b),
-        field._log0,
-        field._exp0,
-        np.int32(field._log_sentinel),
-        out,
-    )
-
-
-# ----------------------------------------------------------------------
-# backend registry
-# ----------------------------------------------------------------------
-
-_BACKENDS = {
-    "numpy": matmul_blocked,
-    "numba": _matmul_numba,
-    "reference": _matmul_reference,
-}
-
-_backend_lock = threading.Lock()
-_active_backend: str | None = None
-_warned_fallback = False
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in this process (``numba`` only if importable)."""
-    names = ["numpy", "reference"]
-    if _load_numba_kernel() is not None:
-        names.insert(1, "numba")
-    return tuple(names)
-
-
 def active_backend() -> str:
-    """The backend the dispatching :func:`matmul` will use."""
-    global _active_backend, _warned_fallback
-    with _backend_lock:
-        if _active_backend is None:
-            requested = os.environ.get(BACKEND_ENV, "numpy").strip().lower() or "numpy"
-            if requested not in _BACKENDS:
-                raise ValueError(
-                    f"unknown {BACKEND_ENV} backend {requested!r}; "
-                    f"choose from {sorted(_BACKENDS)}"
-                )
-            if requested == "numba" and _load_numba_kernel() is None:
-                if not _warned_fallback:
-                    logger.warning(
-                        "%s=numba requested but numba is not installed; "
-                        "falling back to the numpy kernel",
-                        BACKEND_ENV,
-                    )
-                    _warned_fallback = True
-                requested = "numpy"
-            _active_backend = requested
-        return _active_backend
-
-
-def set_backend(name: str | None) -> None:
-    """Force the kernel backend, or ``None`` to re-read the environment.
-
-    Intended for tests and benchmarks; raises if the named backend is not
-    usable in this process.
-    """
-    global _active_backend
-    with _backend_lock:
-        if name is None:
-            _active_backend = None
-            return
-        name = name.strip().lower()
-        if name not in _BACKENDS:
-            raise ValueError(f"unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
-        if name == "numba" and _load_numba_kernel() is None:
-            raise RuntimeError("numba backend is not available (numba not installed)")
-        _active_backend = name
+    """Name of the one kernel implementation (recorded by the e2e ledger)."""
+    return "numpy"
 
 
 def default_workers() -> int:
@@ -315,25 +189,6 @@ def default_workers() -> int:
             raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
         return workers
     return os.cpu_count() or 1
-
-
-def matmul(
-    field: GaloisField,
-    a,
-    b,
-    *,
-    col_block: int = DEFAULT_COL_BLOCK,
-    row_block: int = DEFAULT_ROW_BLOCK,
-) -> np.ndarray:
-    """Matrix product over the field via the active backend."""
-    backend = active_backend()
-    if backend == "numpy":
-        return matmul_blocked(field, a, b, col_block=col_block, row_block=row_block)
-    if backend == "numba":
-        _check_block("col_block", col_block)
-        _check_block("row_block", row_block)
-        return _matmul_numba(field, a, b)
-    return _matmul_reference(field, a, b, row_block=row_block)
 
 
 def matvec(field: GaloisField, a, x) -> np.ndarray:

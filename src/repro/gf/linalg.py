@@ -52,10 +52,9 @@ def _as_matrix(field: GaloisField, a) -> np.ndarray:
 def gf_matmul(field: GaloisField, a, b, row_block: int = kernels.DEFAULT_ROW_BLOCK) -> np.ndarray:
     """Matrix product over the field.
 
-    Dispatches to the batched kernels in :mod:`repro.gf.kernels`
-    (cache-blocked fused-table numpy by default; ``REPRO_GF_BACKEND``
-    selects an alternative).  ``row_block`` bounds the broadcast
-    intermediate on the small-matrix path and must be >= 1.
+    Runs the cache-blocked fused-table kernel in :mod:`repro.gf.kernels`.
+    ``row_block`` bounds the broadcast intermediate on the small-matrix
+    path and must be >= 1.
     """
     return kernels.matmul(field, a, b, row_block=row_block)
 
@@ -152,6 +151,77 @@ def solve(field: GaloisField, a, b) -> np.ndarray:
     return solution[:, 0].copy() if vector else solution.copy()
 
 
+def _scaled_outer(field: GaloisField, factors: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """``factors[:, None] * row[None, :]`` with one log pass per operand.
+
+    Elimination hot path.  Uses the fused zero-extended tables, so zero
+    factors *and* zero row entries are exact with no masking pass.
+    """
+    return field._exp0[field._log0[factors][:, None] + field._log0[row][None, :]]
+
+
+def _extract(
+    field: GaloisField, a, count: int | None, track: bool
+) -> tuple[list[int], list[int], np.ndarray]:
+    """Scan-order independent-row selection; the one elimination loop
+    behind :func:`extract_independent_rows` and :func:`extract_and_invert`.
+
+    Incremental elimination with the basis kept in *reduced* row echelon
+    form: each basis row has a unit pivot that is zero in every other
+    basis row.  A candidate then reduces in one shot -- candidate +=
+    candidate[pivot_cols] @ basis -- instead of one pass per basis row,
+    which matters at the paper's n_file ~ 1500 scale.
+
+    With ``track`` every row carries ``target`` extra columns recording
+    which combination of the selected rows it is (the ``[A | I]`` block of
+    Gauss-Jordan, grown one row at a time).  Returns ``(selected row
+    indices, their pivot columns, tracking block)``; stops at ``target``
+    rows, the caller decides whether fewer is an error.
+    """
+    a = _as_matrix(field, a)
+    rows, cols = a.shape
+    target = cols if count is None else count
+    if target > cols:
+        raise LinAlgError(f"cannot extract {target} independent rows from {cols} columns")
+    width = cols + target if track else cols
+    basis = field.zeros((min(rows, cols), width))
+    pivot_cols: list[int] = []
+    selected: list[int] = []
+    for index in range(rows):
+        if len(selected) == target:
+            break
+        candidate = field.zeros(width)
+        candidate[:cols] = a[index]
+        if track:
+            candidate[cols + len(selected)] = 1  # tracks "1 x this row"
+        if selected:
+            factors = candidate[pivot_cols]
+            if np.any(factors):
+                # One-shot reduction against the RREF basis.
+                candidate = field.add(
+                    candidate,
+                    field.linear_combination(factors, basis[: len(selected)]),
+                )
+        front = candidate[:cols]
+        nonzero = np.nonzero(front)[0]
+        if nonzero.size == 0:
+            continue
+        pivot = int(nonzero[0])
+        candidate = field.multiply(field.inverse_elements(front[pivot]), candidate)
+        if selected:
+            # Keep RREF: clear the new pivot column in the existing basis.
+            column = basis[: len(selected), pivot]
+            touched = np.nonzero(column)[0]
+            if touched.size:
+                basis[touched] = field.add(
+                    basis[touched], _scaled_outer(field, column[touched], candidate)
+                )
+        basis[len(selected)] = candidate
+        pivot_cols.append(pivot)
+        selected.append(index)
+    return selected, pivot_cols, basis[:, cols:]
+
+
 def extract_independent_rows(field: GaloisField, a, count: int | None = None) -> list[int]:
     """Indices of a maximal (or ``count``-sized) set of independent rows.
 
@@ -163,62 +233,12 @@ def extract_independent_rows(field: GaloisField, a, count: int | None = None) ->
 
     Raises :class:`LinAlgError` if ``count`` rows cannot be found.
     """
-    a = _as_matrix(field, a)
-    rows, cols = a.shape
-    target = cols if count is None else count
-    if target > cols:
-        raise LinAlgError(f"cannot extract {target} independent rows from {cols} columns")
-    selected: list[int] = []
-    # Incremental elimination with the basis kept in *reduced* row
-    # echelon form: each basis row has a unit pivot that is zero in
-    # every other basis row.  A candidate then reduces in one shot --
-    # candidate += candidate[pivot_cols] @ basis -- instead of one pass
-    # per basis row, which matters at the paper's n_file ~ 1500 scale.
-    basis = field.zeros((min(rows, cols), cols))
-    basis_rows = 0
-    pivot_cols: list[int] = []
-    for index in range(rows):
-        candidate = a[index].copy()
-        if basis_rows:
-            factors = candidate[pivot_cols]
-            if np.any(factors):
-                candidate = field.add(
-                    candidate, field.linear_combination(factors, basis[:basis_rows])
-                )
-        nonzero = np.nonzero(candidate)[0]
-        if nonzero.size == 0:
-            continue
-        pivot = int(nonzero[0])
-        candidate = field.multiply(field.inverse_elements(candidate[pivot]), candidate)
-        if basis_rows:
-            # Keep RREF: clear the new pivot column in the existing basis.
-            column = basis[:basis_rows, pivot]
-            touched = np.nonzero(column)[0]
-            if touched.size:
-                basis[touched] = field.add(
-                    basis[touched],
-                    field.multiply(column[touched][:, None], candidate[None, :]),
-                )
-        basis[basis_rows] = candidate
-        basis_rows += 1
-        pivot_cols.append(pivot)
-        selected.append(index)
-        if len(selected) == target:
-            return selected
-    if count is None:
-        return selected
-    raise LinAlgError(
-        f"matrix has rank {len(selected)}, cannot extract {target} independent rows"
-    )
-
-
-def _scaled_outer(field: GaloisField, factors: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``factors[:, None] * row[None, :]`` with one log pass per operand.
-
-    Elimination hot path.  Uses the fused zero-extended tables, so zero
-    factors *and* zero row entries are exact with no masking pass.
-    """
-    return field._exp0[field._log0[factors][:, None] + field._log0[row][None, :]]
+    selected, _, _ = _extract(field, a, count, track=False)
+    if count is not None and len(selected) < count:
+        raise LinAlgError(
+            f"matrix has rank {len(selected)}, cannot extract {count} independent rows"
+        )
+    return selected
 
 
 def extract_and_invert(
@@ -234,62 +254,21 @@ def extract_and_invert(
     5 m n^2 bounds (eq. E8) -- cheaper than extracting and then
     inverting separately.
 
-    Returns ``(selected_row_indices, inverse)``.
+    Returns ``(selected_row_indices, inverse)``.  With ``count < n`` the
+    selection is not square; the matrix returned is then the ``T`` that
+    takes the selected rows to their reduced row echelon form.
     """
-    a = _as_matrix(field, a)
-    rows, cols = a.shape
-    target = cols if count is None else count
-    if target > cols:
-        raise LinAlgError(f"cannot extract {target} independent rows from {cols} columns")
-    width = cols + target
-    basis = field.zeros((min(rows, cols), width))
-    basis_rows = 0
-    pivot_cols: list[int] = []
-    selected: list[int] = []
-    for index in range(rows):
-        candidate = field.zeros(width)
-        candidate[:cols] = a[index]
-        candidate[cols + len(selected)] = 1  # tracks "1 x this row"
-        if basis_rows:
-            factors = candidate[pivot_cols]
-            if np.any(factors):
-                # One-shot reduction against the RREF basis.
-                candidate = field.add(
-                    candidate,
-                    field.linear_combination(factors, basis[:basis_rows]),
-                )
-        front = candidate[:cols]
-        nonzero = np.nonzero(front)[0]
-        if nonzero.size == 0:
-            continue
-        pivot = int(nonzero[0])
-        candidate = field.multiply(field.inverse_elements(front[pivot]), candidate)
-        if basis_rows:
-            column = basis[:basis_rows, pivot]
-            touched = np.nonzero(column)[0]
-            if touched.size:
-                basis[touched] = field.add(
-                    basis[touched], _scaled_outer(field, column[touched], candidate)
-                )
-        basis[basis_rows] = candidate
-        basis_rows += 1
-        pivot_cols.append(pivot)
-        selected.append(index)
-        if len(selected) == target:
-            break
+    selected, pivot_cols, tracking = _extract(field, a, count, track=True)
+    target = tracking.shape[1]
     if len(selected) < target:
         raise LinAlgError(
             f"matrix has rank {len(selected)}, cannot extract {target} independent rows"
         )
-    # With rank == cols == target the front block of the basis is a
-    # permutation matrix P (unit pivots, zeros elsewhere) and the tracking
-    # block T satisfies T @ A_selected = P, so inverse = P^T @ T -- a row
-    # scatter by pivot column.
-    inverse = field.zeros((target, target))
-    tracking = basis[:target, cols:]
-    for row_index, pivot_col in enumerate(pivot_cols):
-        inverse[pivot_col] = tracking[row_index]
-    return selected, inverse
+    # The tracking block T satisfies T @ A_selected = the basis' front
+    # block, whose rows are unit-pivot RREF rows in selection order.
+    # Sorting them by pivot column gives the RREF proper -- the identity
+    # when rank == cols == target, so the sorted T is the inverse.
+    return selected, tracking[np.argsort(pivot_cols)]
 
 
 def nullspace_vector(field: GaloisField, a, rng: np.random.Generator | None = None) -> np.ndarray:

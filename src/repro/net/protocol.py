@@ -221,9 +221,6 @@ class StorePiece(Message):
     def encode_body_parts(self) -> list[Buffer]:
         return [_pack_key(self.key), self.blob]
 
-    def encode_body(self) -> bytes:
-        return _pack_key(self.key) + bytes(self.blob)
-
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "StorePiece":
         key, end = _unpack_key(body)
@@ -260,9 +257,6 @@ class PieceData(Message):
 
     def encode_body_parts(self) -> list[Buffer]:
         return [self.blob]
-
-    def encode_body(self) -> bytes:
-        return bytes(self.blob)
 
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "PieceData":
@@ -312,11 +306,6 @@ class Rows(Message):
 
     def encode_body_parts(self) -> list[Buffer]:
         return [_ROWS_HEADER.pack(self.q, 0, 0, self.n_rows, self.l_frag), self.data]
-
-    def encode_body(self) -> bytes:
-        return _ROWS_HEADER.pack(self.q, 0, 0, self.n_rows, self.l_frag) + bytes(
-            self.data
-        )
 
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "Rows":
@@ -375,9 +364,6 @@ class FragmentData(Message):
     def encode_body_parts(self) -> list[Buffer]:
         return [self.blob]
 
-    def encode_body(self) -> bytes:
-        return bytes(self.blob)
-
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "FragmentData":
         return cls(blob=body)
@@ -402,9 +388,6 @@ class StatsData(Message):
 
     def encode_body_parts(self) -> list[Buffer]:
         return [self.blob]
-
-    def encode_body(self) -> bytes:
-        return bytes(self.blob)
 
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "StatsData":

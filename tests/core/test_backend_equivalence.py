@@ -1,11 +1,11 @@
-"""Cross-backend equivalence: every kernel backend encodes identically.
+"""Kernel vs. oracle equivalence: the blocked kernel encodes identically.
 
-``REPRO_GF_BACKEND`` may change how fast a deployment codes, but never
-*what* it codes: with the same seed, every backend must produce
-byte-identical pieces for the full (encode, repair, reconstruct) life
-cycle, and must leave the golden serialization fixtures byte-stable.
-The ``numba`` column skips cleanly where the optional dependency is not
-installed.
+``repro.gf.kernels.matmul`` is the one kernel that runs; ``numpy`` below
+is that kernel untouched, ``reference`` substitutes the seed broadcast
+algorithm (``kernels._matmul_reference``) for it.  With the same seed,
+both must produce byte-identical pieces for the full (encode, repair,
+reconstruct) life cycle, and must leave the golden serialization
+fixtures byte-stable.
 """
 
 import pathlib
@@ -21,28 +21,19 @@ from repro.gf.field import GF
 
 DATA = pathlib.Path(__file__).parent.parent / "data"
 
-BACKENDS = [
-    "numpy",
-    "reference",
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            "numba" not in kernels.available_backends(),
-            reason="numba not installed",
-        ),
-    ),
-]
+BACKENDS = ["numpy", "reference"]
 
 
-@pytest.fixture(autouse=True)
-def _restore_backend():
-    yield
-    kernels.set_backend(None)
+@pytest.fixture()
+def backend(request, monkeypatch):
+    """Run the test on the kernel, or with the oracle in its place."""
+    if request.param == "reference":
+        monkeypatch.setattr(kernels, "matmul", kernels._matmul_reference)
+    return request.param
 
 
-def run_lifecycle(backend: str) -> dict[str, bytes]:
-    """One full seeded life cycle under ``backend``; everything as bytes."""
-    kernels.set_backend(backend)
+def run_lifecycle() -> dict[str, bytes]:
+    """One full seeded life cycle; everything as bytes."""
     field = GF(16)
     code = RandomLinearRegeneratingCode(
         RCParams(k=4, h=4, d=5, i=1), field=field, rng=np.random.default_rng(20090622)
@@ -64,21 +55,20 @@ def run_lifecycle(backend: str) -> dict[str, bytes]:
 
 @pytest.fixture(scope="module")
 def numpy_lifecycle() -> dict[str, bytes]:
-    return run_lifecycle("numpy")
+    return run_lifecycle()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_lifecycle_is_byte_identical_across_backends(backend, numpy_lifecycle):
-    result = run_lifecycle(backend)
+    result = run_lifecycle()
     assert result.keys() == numpy_lifecycle.keys()
     for name, blob in numpy_lifecycle.items():
         assert result[name] == blob, f"{name} differs under backend {backend!r}"
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_sharded_insert_matches_single_worker(backend):
-    """Thread fan-out must never change the encoding, on any backend."""
-    kernels.set_backend(backend)
+    """Thread fan-out must never change the encoding, on either kernel."""
 
     def encode(workers):
         code = RandomLinearRegeneratingCode(
@@ -92,13 +82,12 @@ def test_sharded_insert_matches_single_worker(backend):
     assert encode(1) == encode(4)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 @pytest.mark.parametrize("fixture", ["piece_v1.bin", "piece_v2.bin"])
 def test_golden_pieces_stable_under_every_backend(backend, fixture):
     """Golden piece fixtures survive a kernel round trip bit-for-bit:
-    decode, run the piece's matrices through the backend's matmul with
-    the identity, re-serialize, compare."""
-    kernels.set_backend(backend)
+    decode, run the piece's matrices through matmul with the identity,
+    re-serialize, compare."""
     blob = (DATA / fixture).read_bytes()
     piece, field = piece_from_bytes(blob)
     eye = field.eye(piece.n_piece)

@@ -2,22 +2,13 @@
 
 import numpy as np
 
-from repro.gf.kernels import matmul_blocked, matmul_sharded
-
-
-def integer_arithmetic_on_blocked_product(field, a, b):
-    product = matmul_blocked(field, a, b)
-    return product + 1  # line 10: integer add on field elements
+from repro.gf.kernels import matmul_sharded
 
 
 def integer_arithmetic_on_sharded_product(field, a, b):
     combined = matmul_sharded(field, a, b, workers=2)
-    return combined * 3  # line 15: integer multiply on field elements
-
-
-def dtypeless_array_into_blocked(field, b):
-    return matmul_blocked(field, np.array([[1, 2]]), b)  # line 19
+    return combined * 3  # line 10: integer multiply on field elements
 
 
 def dtypeless_zeros_into_sharded(field, a):
-    return matmul_sharded(field, a, np.zeros((2, 8)))  # line 23
+    return matmul_sharded(field, a, np.zeros((2, 8)))  # line 14

@@ -1,11 +1,11 @@
-"""The batched GF kernels: exactness, edge cases, backends, fan-out.
+"""The batched GF kernel: exactness, edge cases, fan-out.
 
 Three promises are pinned here:
 
 1. **Exactness** -- the cache-blocked fused-table kernel agrees with a
    ``multiply_direct``-based first-principles reference (and with the
-   seed broadcast algorithm, kept as the ``reference`` backend) on every
-   shape, including the historical ``row_block`` edge cases: empty
+   seed broadcast algorithm, kept as ``kernels._matmul_reference``) on
+   every shape, including the historical ``row_block`` edge cases: empty
    matrices, single-row blocks, row counts that are not a multiple of
    the default block.
 2. **Zero safety** -- ``0 * x == 0`` elementwise through matmul and
@@ -15,8 +15,6 @@ Three promises are pinned here:
    returning zeros, wrong-dtype operands raise instead of wrapping, and
    the thread-sharded product is byte-identical for every worker count.
 """
-
-import logging
 
 import numpy as np
 import pytest
@@ -60,7 +58,7 @@ class TestExactness:
         a = field.random((m, k), rng)
         b = field.random((k, n), rng)
         expected = direct_matmul(field, a, b)
-        assert np.array_equal(kernels.matmul_blocked(field, a, b), expected)
+        assert np.array_equal(kernels.matmul(field, a, b), expected)
         assert np.array_equal(kernels._matmul_reference(field, a, b), expected)
 
     def test_odd_block_sizes_agree(self, field):
@@ -70,7 +68,7 @@ class TestExactness:
         expected = kernels._matmul_reference(field, a, b)
         for row_block in (1, 2, 13, 64, 1000):
             for col_block in (1, 3, 256, 1 << 20):
-                got = kernels.matmul_blocked(
+                got = kernels.matmul(
                     field, a, b, row_block=row_block, col_block=col_block
                 )
                 assert np.array_equal(got, expected), (row_block, col_block)
@@ -80,15 +78,15 @@ class TestExactness:
         rng = np.random.default_rng(field.q + 7)
         b = field.random((5, 400), rng)
         zeros = field.zeros((3, 5))
-        assert not kernels.matmul_blocked(field, zeros, b).any()
+        assert not kernels.matmul(field, zeros, b).any()
         identity = field.eye(5)
-        assert np.array_equal(kernels.matmul_blocked(field, identity, b), b)
+        assert np.array_equal(kernels.matmul(field, identity, b), b)
 
     def test_matvec_matches_matmul_column(self, field):
         rng = np.random.default_rng(field.q + 11)
         a = field.random((6, 9), rng)
         x = field.random((9,), rng)
-        expected = kernels.matmul_blocked(field, a, x[:, None])[:, 0]
+        expected = kernels.matmul(field, a, x[:, None])[:, 0]
         assert np.array_equal(kernels.matvec(field, a, x), expected)
         assert np.array_equal(linalg.gf_matvec(field, a, x), expected)
 
@@ -113,7 +111,7 @@ class TestZeroTimesXIsZero:
         a[2, :] = 0
         b = field.random((6, n), rng)
         b[:, 0] = 0
-        out = kernels.matmul_blocked(field, a, b)
+        out = kernels.matmul(field, a, b)
         assert not out[2].any()
         assert not out[:, 0].any()
         assert np.array_equal(out, direct_matmul(field, a, b))
@@ -133,16 +131,16 @@ class TestValidation:
         a = field.random((4, 4), np.random.default_rng(0))
         for bad in (0, -1, -64):
             with pytest.raises(ValueError, match="row_block"):
-                kernels.matmul_blocked(field, a, a, row_block=bad)
+                kernels.matmul(field, a, a, row_block=bad)
             with pytest.raises(ValueError, match="row_block"):
                 linalg.gf_matmul(field, a, a, row_block=bad)
         with pytest.raises(ValueError, match="col_block"):
-            kernels.matmul_blocked(field, a, a, col_block=0)
+            kernels.matmul(field, a, a, col_block=0)
 
     def test_shape_mismatch_raises(self):
         field = GF(16)
         with pytest.raises(ValueError, match="shape mismatch"):
-            kernels.matmul_blocked(field, field.zeros((2, 3)), field.zeros((4, 2)))
+            kernels.matmul(field, field.zeros((2, 3)), field.zeros((4, 2)))
         with pytest.raises(ValueError):
             kernels.matvec(field, field.zeros((2, 3)), field.zeros(5))
 
@@ -153,7 +151,7 @@ class TestValidation:
         bad = np.array([[70000]], dtype=np.int64)
         good = field.zeros((1, 1))
         with pytest.raises(ValueError, match="out of range"):
-            kernels.matmul_blocked(field, bad, good)
+            kernels.matmul(field, bad, good)
         with pytest.raises(ValueError, match="out of range"):
             field.multiply(bad, good)
         with pytest.raises(ValueError, match="out of range"):
@@ -161,68 +159,20 @@ class TestValidation:
                 np.array([70000], dtype=np.int64), field.zeros((1, 4))
             )
         with pytest.raises(TypeError, match="integers"):
-            kernels.matmul_blocked(field, np.array([[1.5]]), good)
+            kernels.matmul(field, np.array([[1.5]]), good)
 
     def test_in_range_int64_coerces(self):
         field = GF(16)
         a = np.array([[3, 5]], dtype=np.int64)
         b = np.array([[7], [11]], dtype=np.int64)
         expected = direct_matmul(field, field.asarray(a), field.asarray(b))
-        assert np.array_equal(kernels.matmul_blocked(field, a, b), expected)
+        assert np.array_equal(kernels.matmul(field, a, b), expected)
 
 
 class TestBackends:
-    @pytest.fixture(autouse=True)
-    def _reset_backend(self):
-        yield
-        kernels.set_backend(None)
-
-    def test_numpy_and_reference_always_available(self):
-        names = kernels.available_backends()
-        assert "numpy" in names
-        assert "reference" in names
-
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv(kernels.BACKEND_ENV, raising=False)
-        kernels.set_backend(None)
+    def test_default_backend_is_numpy(self):
+        """The name the e2e ledger records with every run."""
         assert kernels.active_backend() == "numpy"
-
-    def test_set_backend_reference_dispatches(self):
-        field = GF(16)
-        rng = np.random.default_rng(1)
-        a = field.random((3, 4), rng)
-        b = field.random((4, 500), rng)
-        kernels.set_backend("reference")
-        assert kernels.active_backend() == "reference"
-        assert np.array_equal(kernels.matmul(field, a, b), direct_matmul(field, a, b))
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown backend"):
-            kernels.set_backend("cuda")
-        monkeypatch.setenv(kernels.BACKEND_ENV, "cuda")
-        kernels.set_backend(None)
-        with pytest.raises(ValueError, match="unknown"):
-            kernels.active_backend()
-
-    def test_missing_numba_falls_back_with_warning(self, monkeypatch, caplog):
-        if kernels._load_numba_kernel() is not None:
-            pytest.skip("numba installed; fallback path not reachable")
-        monkeypatch.setenv(kernels.BACKEND_ENV, "numba")
-        monkeypatch.setattr(kernels, "_warned_fallback", False)
-        kernels.set_backend(None)
-        with caplog.at_level(logging.WARNING, logger="repro.gf.kernels"):
-            assert kernels.active_backend() == "numpy"
-        assert any("falling back" in record.message for record in caplog.records)
-
-    def test_numba_backend_agrees_when_available(self):
-        pytest.importorskip("numba")
-        field = GF(16)
-        rng = np.random.default_rng(2)
-        a = field.random((4, 6), rng)
-        b = field.random((6, 1000), rng)
-        assert np.array_equal(
-            kernels._matmul_numba(field, a, b), kernels._matmul_reference(field, a, b)
-        )
 
 
 class TestSharded:

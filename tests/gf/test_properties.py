@@ -120,17 +120,34 @@ class TestLinalgRoundTrips:
     def test_extract_and_invert_agrees_with_separate_steps(
         self, field, n, extra, data
     ):
-        """The fused extraction+inversion (paper section 4.2) selects the
-        same rows as the scan-order extractor and returns their exact
-        inverse -- the reconstruction planner's core invariant."""
+        """The fused extraction+inversion (paper section 4.2) and the
+        scan-order extractor share one elimination core.  On any input --
+        full rank or not, ``count`` up to the column count -- both select
+        the rows a rank-by-rank greedy scan would, or both raise; and the
+        fused matrix takes the selected rows to their RREF, which is the
+        exact inverse when ``count == cols`` (the reconstruction
+        planner's core invariant)."""
         tall = data.draw(matrices(field, n + extra, n))
-        assume(linalg.rank(field, tall) == n)
-        selected, inverse = linalg.extract_and_invert(field, tall)
-        assert selected == linalg.extract_independent_rows(field, tall, n)
+        count = data.draw(st.integers(min_value=1, max_value=n))
+        greedy: list[int] = []
+        for index in range(n + extra):
+            if linalg.rank(field, tall[greedy + [index]]) == len(greedy) + 1:
+                greedy.append(index)
+        assert linalg.extract_independent_rows(field, tall) == greedy
+        if len(greedy) < count:
+            with pytest.raises(linalg.LinAlgError):
+                linalg.extract_independent_rows(field, tall, count)
+            with pytest.raises(linalg.LinAlgError):
+                linalg.extract_and_invert(field, tall, count)
+            return
+        selected, inverse = linalg.extract_and_invert(field, tall, count)
+        assert selected == greedy[:count]
+        assert selected == linalg.extract_independent_rows(field, tall, count)
         submatrix = tall[selected]
-        assert (
-            linalg.gf_matmul(field, inverse, submatrix) == field.eye(n)
-        ).all()
+        reduced = linalg.gf_matmul(field, inverse, submatrix)
+        assert (reduced == linalg.rref(field, submatrix)[0]).all()
+        if count == n:
+            assert (reduced == field.eye(n)).all()
 
 
 def naive_matmul(field, a, b):
@@ -165,7 +182,7 @@ class TestBlockedKernelProperties:
         a = data.draw(matrices(field, m, k))
         b = data.draw(matrices(field, k, n))
         expected = naive_matmul(field, a, b)
-        got = kernels.matmul_blocked(
+        got = kernels.matmul(
             field, a, b, row_block=row_block, col_block=col_block
         )
         assert got.shape == expected.shape
@@ -186,7 +203,7 @@ class TestBlockedKernelProperties:
         b = data.draw(matrices(field, k, n))
         row = data.draw(st.integers(min_value=0, max_value=m - 1))
         a[row, :] = 0
-        out = kernels.matmul_blocked(field, a, b)
+        out = kernels.matmul(field, a, b)
         assert not out[row].any()
         assert (out == naive_matmul(field, a, b)).all()
         vec_out = kernels.matvec(field, a, b[:, 0]) if n else None
