@@ -295,8 +295,8 @@ class RandomLinearRegeneratingCode:
             [pieces[position].data[row] for position, row in plan.selection]
         )
         original = linalg.gf_matmul(self.field, plan.inverse, rows)
-        data = self.field.elements_to_bytes(original.reshape(-1))
-        return data if file_size is None else data[:file_size]
+        # One copy from the decoded matrix to the caller's bytes.
+        return bytes(self.field.elements_to_buffer(original.reshape(-1))[:file_size])
 
     def reconstruct(self, pieces: list[Piece], file_size: int | None = None) -> bytes:
         """Full reconstruction from any >= k pieces (w.h.p.).

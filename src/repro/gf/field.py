@@ -24,6 +24,12 @@ import numpy as np
 
 __all__ = ["GaloisField", "GF", "GF16", "GF256", "GF65536"]
 
+#: Elements per add -> take -> xor step of every table-lookup loop (the
+#: kernels' row chunks, elimination's rank-1 updates, fragment
+#: combinations): index, product and accumulator chunks -- 256 KB at
+#: q = 16 -- stay inside L2 while a whole operand streams through.
+_CHUNK = 1 << 15
+
 # Primitive polynomials for GF(2^q), expressed as integers that include the
 # x^q term.  These are the conventional choices used by production erasure
 # coding libraries (e.g. Jerasure, zfec), so encoded data is interoperable.
@@ -211,12 +217,35 @@ class GaloisField:
 
         The zero-extended tables make this exact for zero operands with
         no masking pass -- the paper's "3 table lookups and 1 integer
-        addition", now for every input.
+        addition", now for every input.  The element lookups are
+        bounds-checked, so an out-of-range element raises.
         """
-        a = self._coerce(a)
-        b = self._coerce(b)
-        out = self._exp0[self._log0[a] + self._log0[b]]
+        log0 = self._log0
+        idx = np.take(log0, self._coerce(a)) + np.take(log0, self._coerce(b))
+        out = np.take(self._exp0, idx, mode="clip")
         return out[()] if out.ndim == 0 else out
+
+    def _xor_outer(
+        self, acc: np.ndarray, log_col: np.ndarray, log_row: np.ndarray,
+        idx: np.ndarray, prod: np.ndarray,
+    ) -> None:
+        """``acc ^= col[:, None] * row[None, :]``, given the operands' logs.
+
+        The one lookup step behind the kernels and elimination: ``acc`` is
+        a (rows, width) accumulator view, ``idx`` (int32) and ``prod``
+        (field dtype) caller-owned contiguous scratch of that shape.
+        ``mode="clip"`` skips the bounds check -- and numpy's output
+        buffering -- which is sound here and only here: the index is a
+        sum of two logs, in range by the sentinel construction, never an
+        element.  A single row needs no sum at all: ``exp0[log:]`` is an
+        offset view whose zero tail still absorbs a sentinel on either side.
+        """
+        if len(log_col) == 1:
+            np.take(self._exp0[log_col[0] :], log_row, out=prod[0], mode="clip")
+        else:
+            np.add(log_col[:, None], log_row, out=idx)
+            np.take(self._exp0, idx, out=prod, mode="clip")
+        np.bitwise_xor(acc, prod, out=acc)
 
     def multiply_direct(self, a, b) -> np.ndarray:
         """Field product via shift-and-add in the polynomial basis.
@@ -317,8 +346,18 @@ class GaloisField:
             raise ValueError(
                 f"need {vectors.shape[0]} coefficients, got shape {coefficients.shape}"
             )
-        products = self._exp0[self._log0[coefficients][:, None] + self._log0[vectors]]
-        return np.bitwise_xor.reduce(products, axis=0).astype(self.dtype, copy=False)
+        out = self.zeros(vectors.shape[1])
+        log_c = np.take(self._log0, coefficients)[:, None]
+        # Four steps' worth per call: helpers run this side by side on
+        # daemon threads, and every numpy call is a GIL hand-off.
+        width = max(1, 4 * _CHUNK // max(1, len(log_c)))
+        for start in range(0, out.size, width):
+            # Unvalidated elements: the default, bounds-checked mode.
+            idx = np.take(self._log0, vectors[:, start : start + width])
+            idx += log_c
+            products = np.take(self._exp0, idx, mode="clip")
+            np.bitwise_xor.reduce(products, axis=0, out=out[start : start + width])
+        return out
 
     # ------------------------------------------------------------------
     # byte <-> element packing

@@ -1,4 +1,4 @@
-"""Batched, cache-blocked GF(2^q) matmul kernels.
+"""Batched, cache-blocked GF(2^q) matmul kernel.
 
 The paper's section 5.2 bottleneck-bandwidth analysis asks whether CPU or
 network limits a deployment; the answer hinges on how fast the GF(2^16)
@@ -6,28 +6,29 @@ linear combinations run.  This module is the hot path: every encode,
 repair, and reconstruct in :mod:`repro.codes` and the Coordinator funnels
 through :func:`matmul` (via :func:`repro.gf.linalg.gf_matmul`).
 
-Three ideas, composable and individually testable:
+One loop serves every operand shape (:func:`matmul`):
 
-1. **Fused log/exp lookups** (:func:`matmul`).  The field's
-   zero-extended tables (``GaloisField._log0`` / ``_exp0``) make
-   ``exp0[log0[a] + log0[b]]`` exact for *all* operands including zero, so
-   the kernels never touch the classic ``log[0]`` sentinel hazard.  The
-   coefficient matrix's logs are precomputed once per call (it is tiny --
-   (m, k) with m, k ~ tens -- while the data matrix is huge), so each
-   output block costs one gather plus one XOR-accumulate pass.
+1. **Logs once per column tile.**  Per tile of at most ``col_block``
+   data columns the data's logs are taken once into an int32 scratch tile
+   (``GaloisField._log0``, zero mapped to a sentinel), so every product
+   after that is one index into the zero-extended ``_exp0`` -- exact for
+   zero and unit operands with no masking and no special case.
 
-2. **Cache blocking.**  For wide data matrices (the common encode shape:
-   k fragment rows x hundreds of thousands of element columns) the kernel
-   iterates output rows and accumulates coefficient-by-coefficient over
-   column tiles of :data:`DEFAULT_COL_BLOCK` elements, keeping the working
-   set inside L2.  Zero coefficients are skipped outright and unit
-   coefficients turn into a gather-free XOR.  For narrow matrices (matrix
-   inversion helpers, coefficient-only algebra) a broadcast path over
-   :data:`DEFAULT_ROW_BLOCK`-row tiles avoids Python loop overhead.
+2. **Chunked add -> take -> xor.**  Output rows are visited in chunks
+   sized so ``rows x tile columns`` is about ``_CHUNK`` elements, and each
+   inner column ``j`` costs one ``GaloisField._xor_outer`` step into
+   preallocated buffers: ``np.take(..., out=, mode="clip")``, which is
+   several times cheaper than a fancy-index gather and bounds-proven
+   because the index is a sum of two logs.  Tall-narrow operands (the
+   paper's (640 x 319)(319 x 1644) encode, a 16 KiB file's 265 columns)
+   get many rows per step; for wide operands the tile alone fills a
+   chunk, rows = 1, and the step degenerates to an add-free offset view
+   of the exp table.  Scratch is tile x (k + chunk rows), never
+   proportional to an operand.
 
 3. **Fan-out.**  :func:`matmul_sharded` fans a single product out over
    disjoint column shards with a thread pool (``REPRO_GF_WORKERS``) --
-   numpy gathers release the GIL, and results are byte-identical for any
+   ``np.take`` releases the GIL, and results are byte-identical for any
    worker count because shards never overlap.
 
 :func:`_matmul_reference`, the seed broadcast algorithm, is not reachable
@@ -41,12 +42,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from repro.gf.field import GaloisField
+from repro.gf.field import _CHUNK, GaloisField
 
 __all__ = [
     "WORKERS_ENV",
     "DEFAULT_COL_BLOCK",
-    "DEFAULT_ROW_BLOCK",
     "active_backend",
     "default_workers",
     "matmul",
@@ -58,17 +58,10 @@ __all__ = [
 #: :func:`matmul_sharded` (and through it, large Coordinator insertions).
 WORKERS_ENV = "REPRO_GF_WORKERS"
 
-#: Column-tile width for the blocked kernel: 2^15 uint16 elements = 64 KB
-#: per tile operand, comfortably inside L2 alongside the gather output.
+#: Widest column tile: 2^15 elements fill one ``_CHUNK`` step on their
+#: own, so wide data runs one output row per step (the add-free path) and
+#: the int32 log tile stays at k x 128 KB.
 DEFAULT_COL_BLOCK = 1 << 15
-
-#: Row-tile height for the broadcast (small-n) path -- bounds the
-#: (rows, k, n) product intermediate exactly like the seed kernel did.
-DEFAULT_ROW_BLOCK = 64
-
-#: Below this many data columns the per-(row, coefficient) Python loop of
-#: the blocked kernel costs more than it saves; use the broadcast path.
-_LOOP_MIN_COLS = 256
 
 #: Minimum columns per shard before thread fan-out is worth the handoff.
 _MIN_SHARD_COLS = 1 << 14
@@ -86,79 +79,51 @@ def _validate(field: GaloisField, a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _check_block(name: str, value: int) -> int:
-    value = int(value)
-    if value < 1:
-        # range(start, stop, step) with a non-positive step silently
-        # yields nothing, which used to make gf_matmul return all zeros.
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
-
-
-def matmul(
-    field: GaloisField,
-    a,
-    b,
-    *,
-    col_block: int = DEFAULT_COL_BLOCK,
-    row_block: int = DEFAULT_ROW_BLOCK,
-) -> np.ndarray:
+def matmul(field: GaloisField, a, b, *, col_block: int = DEFAULT_COL_BLOCK) -> np.ndarray:
     """Cache-blocked fused-table matrix product over the field.
 
     ``a`` is the (m, k) coefficient matrix, ``b`` the (k, n) data matrix.
     Exact for zero operands (fused zero-extended tables) and for every
-    shape edge case: empty matrices, single rows, block sizes that do not
-    divide the dimensions.
+    shape edge case: empty matrices, single rows, tiles and chunks that
+    do not divide the dimensions.
     """
     a, b = _validate(field, a, b)
-    col_block = _check_block("col_block", col_block)
-    row_block = _check_block("row_block", row_block)
+    if col_block < 1:
+        # range() with a non-positive step yields nothing, which would
+        # silently return an all-zero product.
+        raise ValueError(f"col_block must be >= 1, got {col_block}")
     m, k = a.shape
     n = b.shape[1]
     out = field.zeros((m, n))
     if 0 in (m, k, n):
         return out
     log0 = field._log0
-    exp0 = field._exp0
-    if n < _LOOP_MIN_COLS:
-        # Narrow data: one broadcast gather per row tile beats m*k Python
-        # iterations.  The fused tables keep zero operands exact.
-        log_b = log0[b]
-        for start in range(0, m, row_block):
-            block = a[start : start + row_block]
-            products = exp0[log0[block][:, :, None] + log_b[None, :, :]]
-            out[start : start + row_block] = np.bitwise_xor.reduce(products, axis=1)
-        return out
-    # Wide data: per-(row, coefficient) XOR-accumulate over column tiles.
-    log_a = log0[a]
-    sentinel = field._log_sentinel
-    for col_start in range(0, n, col_block):
-        col_end = min(col_start + col_block, n)
-        b_tile = b[:, col_start:col_end]
-        log_tile = None
-        out_tile = out[:, col_start:col_end]
-        for i in range(m):
-            acc = out_tile[i]
+    log_a = np.take(log0, a)
+    tile = min(n, col_block)
+    rows = min(m, max(1, _CHUNK // tile))
+    logs = idx = prod = np.empty((0, 0))
+    for col_start in range(0, n, tile):
+        width = min(tile, n - col_start)
+        if logs.shape[1] != width:  # first tile, and a ragged last one
+            logs = np.empty((k, width), dtype=np.int32)
+            idx = np.empty((rows, width), dtype=np.int32)
+            prod = np.empty((rows, width), dtype=field.dtype)
+        # Row by row: np.take first widens its indices to intp, and that
+        # temporary must not be the size of the tile.  ``b`` was
+        # range-checked by _validate, so clip cannot hide anything.
+        for j in range(k):
+            np.take(log0, b[j, col_start : col_start + width], out=logs[j], mode="clip")
+        for row_start in range(0, m, rows):
+            acc = out[row_start : row_start + rows, col_start : col_start + width]
+            log_rows = log_a[row_start : row_start + rows]
+            step_idx, step_prod = idx[: len(acc)], prod[: len(acc)]
             for j in range(k):
-                la = log_a[i, j]
-                if la == sentinel:  # coefficient is zero: contributes nothing
-                    continue
-                if la == 0:  # coefficient is one: gather-free XOR
-                    np.bitwise_xor(acc, b_tile[j], out=acc)
-                    continue
-                if log_tile is None:
-                    log_tile = log0[b_tile]
-                np.bitwise_xor(acc, exp0[la + log_tile[j]], out=acc)
+                field._xor_outer(acc, log_rows[:, j], logs[j], step_idx, step_prod)
     return out
 
 
 def _matmul_reference(
-    field: GaloisField,
-    a,
-    b,
-    *,
-    col_block: int = DEFAULT_COL_BLOCK,
-    row_block: int = DEFAULT_ROW_BLOCK,
+    field: GaloisField, a, b, *, col_block: int = DEFAULT_COL_BLOCK
 ) -> np.ndarray:
     """The seed broadcast algorithm, kept verbatim as the test oracle.
 
@@ -166,12 +131,12 @@ def _matmul_reference(
     kernel; it has no column tiling, so ``col_block`` is unused.
     """
     a, b = _validate(field, a, b)
-    row_block = _check_block("row_block", row_block)
     out = field.zeros((a.shape[0], b.shape[1]))
-    for start in range(0, a.shape[0], row_block):
-        block = a[start : start + row_block]
+    step = 64  # bounds the (rows, k, n) product intermediate
+    for start in range(0, a.shape[0], step):
+        block = a[start : start + step]
         products = field.multiply(block[:, :, None], b[None, :, :])
-        out[start : start + row_block] = np.bitwise_xor.reduce(products, axis=1)
+        out[start : start + step] = np.bitwise_xor.reduce(products, axis=1)
     return out
 
 
@@ -207,7 +172,6 @@ def matmul_sharded(
     *,
     workers: int | None = None,
     col_block: int = DEFAULT_COL_BLOCK,
-    row_block: int = DEFAULT_ROW_BLOCK,
 ) -> np.ndarray:
     """Matrix product fanned out over disjoint column shards.
 
@@ -224,14 +188,12 @@ def matmul_sharded(
     n = b.shape[1]
     shards = min(workers, max(1, n // _MIN_SHARD_COLS))
     if shards <= 1:
-        return matmul(field, a, b, col_block=col_block, row_block=row_block)
+        return matmul(field, a, b, col_block=col_block)
     bounds = np.linspace(0, n, shards + 1, dtype=np.int64)
     out = field.zeros((a.shape[0], n))
 
     def _run(lo: int, hi: int) -> None:
-        out[:, lo:hi] = matmul(
-            field, a, b[:, lo:hi], col_block=col_block, row_block=row_block
-        )
+        out[:, lo:hi] = matmul(field, a, b[:, lo:hi], col_block=col_block)
 
     with ThreadPoolExecutor(max_workers=shards) as pool:
         futures = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.gf import kernels
-from repro.gf.field import GaloisField
+from repro.gf.field import _CHUNK, GaloisField
 
 __all__ = [
     "LinAlgError",
@@ -49,19 +49,41 @@ def _as_matrix(field: GaloisField, a) -> np.ndarray:
     return arr
 
 
-def gf_matmul(field: GaloisField, a, b, row_block: int = kernels.DEFAULT_ROW_BLOCK) -> np.ndarray:
-    """Matrix product over the field.
-
-    Runs the cache-blocked fused-table kernel in :mod:`repro.gf.kernels`.
-    ``row_block`` bounds the broadcast intermediate on the small-matrix
-    path and must be >= 1.
-    """
-    return kernels.matmul(field, a, b, row_block=row_block)
+def gf_matmul(field: GaloisField, a, b) -> np.ndarray:
+    """Matrix product over the field (:func:`repro.gf.kernels.matmul`)."""
+    return kernels.matmul(field, a, b)
 
 
 def gf_matvec(field: GaloisField, a, x) -> np.ndarray:
     """Matrix-vector product ``a @ x`` over the field."""
     return kernels.matvec(field, a, x)
+
+
+def _clear_pivot(
+    field: GaloisField, work: np.ndarray, index: int, pivot: int, lo: int, hi: int
+) -> None:
+    """One right-looking Gauss-Jordan step on the column window [lo, hi).
+
+    Normalises row ``index`` to a unit entry in column ``pivot`` and
+    clears that column from every other row with one chunked rank-1
+    update.  Needs the logs of one column and one row, never of the
+    matrix.  The caller guarantees row ``index`` is zero outside the
+    window, so columns beyond it cannot change.
+    """
+    window = work[:, lo:hi]
+    row = window[index]
+    row[:] = field.multiply(field.inverse_elements(work[index, pivot]), row)
+    log_row = np.take(field._log0, row)
+    log_col = np.take(field._log0, work[:, pivot])
+    log_col[index] = field._log_sentinel  # the pivot row itself stays
+    width = hi - lo
+    step = min(len(window), max(1, _CHUNK // width))
+    idx = np.empty((step, width), dtype=np.int32)
+    prod = np.empty((step, width), dtype=field.dtype)
+    for start in range(0, len(window), step):
+        acc = window[start : start + step]
+        factors = log_col[start : start + step]
+        field._xor_outer(acc, factors, log_row, idx[: len(acc)], prod[: len(acc)])
 
 
 def _eliminate(field: GaloisField, work: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -83,15 +105,8 @@ def _eliminate(field: GaloisField, work: np.ndarray) -> tuple[np.ndarray, list[i
         pivot = row + int(pivot_candidates[0])
         if pivot != row:
             work[[row, pivot]] = work[[pivot, row]]
-        inv = field.inverse_elements(work[row, col])
-        work[row] = field.multiply(inv, work[row])
-        other = np.nonzero(work[:, col])[0]
-        other = other[other != row]
-        if other.size:
-            factors = work[other, col]
-            work[other] = field.add(
-                work[other], field.multiply(factors[:, None], work[row][None, :])
-            )
+        # Rows from ``row`` down are zero left of ``col`` (echelon form).
+        _clear_pivot(field, work, row, col, col, cols)
         pivot_cols.append(col)
         row += 1
     return work, pivot_cols
@@ -151,75 +166,58 @@ def solve(field: GaloisField, a, b) -> np.ndarray:
     return solution[:, 0].copy() if vector else solution.copy()
 
 
-def _scaled_outer(field: GaloisField, factors: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """``factors[:, None] * row[None, :]`` with one log pass per operand.
-
-    Elimination hot path.  Uses the fused zero-extended tables, so zero
-    factors *and* zero row entries are exact with no masking pass.
-    """
-    return field._exp0[field._log0[factors][:, None] + field._log0[row][None, :]]
-
-
 def _extract(
     field: GaloisField, a, count: int | None, track: bool
 ) -> tuple[list[int], list[int], np.ndarray]:
     """Scan-order independent-row selection; the one elimination loop
     behind :func:`extract_independent_rows` and :func:`extract_and_invert`.
 
-    Incremental elimination with the basis kept in *reduced* row echelon
-    form: each basis row has a unit pivot that is zero in every other
-    basis row.  A candidate then reduces in one shot -- candidate +=
-    candidate[pivot_cols] @ basis -- instead of one pass per basis row,
-    which matters at the paper's n_file ~ 1500 scale.
+    Right-looking Gauss-Jordan without row swaps: rows are visited in
+    order, and a row whose front is still non-zero after the eliminations
+    so far is selected and its pivot column (its first non-zero) cleared
+    from every other row by :func:`_clear_pivot`.  The greedy rule fixes
+    the selection, and the selected rows end in *reduced* row echelon
+    form, so the result does not depend on the elimination order.
 
-    With ``track`` every row carries ``target`` extra columns recording
-    which combination of the selected rows it is (the ``[A | I]`` block of
-    Gauss-Jordan, grown one row at a time).  Returns ``(selected row
-    indices, their pivot columns, tracking block)``; stops at ``target``
-    rows, the caller decides whether fewer is an error.
+    With ``track`` the work matrix is ``[A | T]``: ``T`` has one column
+    per selected row, recording which combination of the selected rows
+    each row has become (the ``[A | I]`` block of Gauss-Jordan, grown one
+    column at a time).  Each step touches only the live column window:
+    leading columns that are all pivots already are zero in the pivot
+    row, and so are the tracking columns of rows not yet selected.
+    Returns ``(selected row indices, their pivot columns, tracking block
+    of the selected rows)``; stops at ``target`` rows, the caller decides
+    whether fewer is an error.
     """
     a = _as_matrix(field, a)
     rows, cols = a.shape
     target = cols if count is None else count
     if target > cols:
         raise LinAlgError(f"cannot extract {target} independent rows from {cols} columns")
-    width = cols + target if track else cols
-    basis = field.zeros((min(rows, cols), width))
+    work = field.zeros((rows, cols + target if track else cols))
+    work[:, :cols] = a
+    is_pivot = np.zeros(cols + 1, dtype=bool)
+    lo = 0
     pivot_cols: list[int] = []
     selected: list[int] = []
     for index in range(rows):
         if len(selected) == target:
             break
-        candidate = field.zeros(width)
-        candidate[:cols] = a[index]
-        if track:
-            candidate[cols + len(selected)] = 1  # tracks "1 x this row"
-        if selected:
-            factors = candidate[pivot_cols]
-            if np.any(factors):
-                # One-shot reduction against the RREF basis.
-                candidate = field.add(
-                    candidate,
-                    field.linear_combination(factors, basis[: len(selected)]),
-                )
-        front = candidate[:cols]
-        nonzero = np.nonzero(front)[0]
+        nonzero = np.flatnonzero(work[index, lo:cols])
         if nonzero.size == 0:
             continue
-        pivot = int(nonzero[0])
-        candidate = field.multiply(field.inverse_elements(front[pivot]), candidate)
-        if selected:
-            # Keep RREF: clear the new pivot column in the existing basis.
-            column = basis[: len(selected), pivot]
-            touched = np.nonzero(column)[0]
-            if touched.size:
-                basis[touched] = field.add(
-                    basis[touched], _scaled_outer(field, column[touched], candidate)
-                )
-        basis[len(selected)] = candidate
+        pivot = lo + int(nonzero[0])
+        hi = cols
+        if track:
+            work[index, cols + len(selected)] = 1  # tracks "1 x this row"
+            hi = cols + len(selected) + 1
+        _clear_pivot(field, work, index, pivot, lo, hi)
         pivot_cols.append(pivot)
         selected.append(index)
-    return selected, pivot_cols, basis[:, cols:]
+        is_pivot[pivot] = True
+        while is_pivot[lo]:  # the extra entry stops this at ``cols``
+            lo += 1
+    return selected, pivot_cols, work[selected, cols:]
 
 
 def extract_independent_rows(field: GaloisField, a, count: int | None = None) -> list[int]:

@@ -737,7 +737,10 @@ class Coordinator:
                 original = await asyncio.to_thread(
                     linalg.gf_matmul, self.field, plan.inverse, stacked
                 )
-            data = self.field.elements_to_bytes(original.reshape(-1))
+            # One copy from the decoded matrix to the caller's bytes.
+            data = bytes(
+                self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
+            )
             payload = stacked.size * self.field.element_size
             stats = ReconstructStats(
                 fragments_downloaded=len(plan.selection),
@@ -746,4 +749,4 @@ class Coordinator:
                 pieces_probed=probed,
                 pieces_used=len(by_position),
             )
-            return data[: manifest.file_size], stats
+            return data, stats

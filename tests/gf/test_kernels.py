@@ -2,18 +2,18 @@
 
 Three promises are pinned here:
 
-1. **Exactness** -- the cache-blocked fused-table kernel agrees with a
+1. **Exactness** -- the chunked take-based kernel agrees with a
    ``multiply_direct``-based first-principles reference (and with the
    seed broadcast algorithm, kept as ``kernels._matmul_reference``) on
-   every shape, including the historical ``row_block`` edge cases: empty
-   matrices, single-row blocks, row counts that are not a multiple of
-   the default block.
+   every shape: empty matrices, single rows, and row / column counts one
+   either side of the kernel's own chunk and tile sizes.
 2. **Zero safety** -- ``0 * x == 0`` elementwise through matmul and
    matvec for all three fields: the fused zero-extended tables must make
    the ``log[0]`` sentinel unreachable on every kernel path.
 3. **Discipline** -- block sizes below 1 raise instead of silently
-   returning zeros, wrong-dtype operands raise instead of wrapping, and
-   the thread-sharded product is byte-identical for every worker count.
+   returning zeros, wrong-dtype *and* same-dtype out-of-range operands
+   raise instead of wrapping or clipping, and the thread-sharded product
+   is byte-identical for every worker count.
 """
 
 import numpy as np
@@ -46,9 +46,9 @@ class TestExactness:
             (4, 0, 6),   # empty inner dimension
             (4, 6, 0),   # no output columns
             (1, 1, 1),   # single everything
-            (1, 5, 300), # single row, wide enough for the loop path
+            (1, 5, 300), # single row: the add-free offset-view step
             (3, 4, 5),
-            (65, 3, 7),  # rows not a multiple of the 64-row block
+            (65, 3, 7),  # tall and narrow: many rows per step
             (7, 9, 1000),
         ],
     )
@@ -66,15 +66,29 @@ class TestExactness:
         a = field.random((13, 7), rng)
         b = field.random((7, 530), rng)
         expected = kernels._matmul_reference(field, a, b)
-        for row_block in (1, 2, 13, 64, 1000):
-            for col_block in (1, 3, 256, 1 << 20):
-                got = kernels.matmul(
-                    field, a, b, row_block=row_block, col_block=col_block
-                )
-                assert np.array_equal(got, expected), (row_block, col_block)
+        for col_block in (1, 3, 256, 529, 530, 531, 1 << 20):
+            got = kernels.matmul(field, a, b, col_block=col_block)
+            assert np.array_equal(got, expected), col_block
+
+    @pytest.mark.parametrize("rows_per_step", [1, 2, 5])
+    def test_chunk_and_tile_boundaries(self, field, rows_per_step):
+        """Row and column counts one either side of (and at multiples of)
+        the kernel's own step sizes, read from the module: a tile of
+        ``_CHUNK // r`` columns makes it run ``r`` output rows per step."""
+        tile = kernels._CHUNK // rows_per_step
+        assert tile <= kernels.DEFAULT_COL_BLOCK
+        rng = np.random.default_rng(field.q + rows_per_step)
+        for n in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1):
+            for m in {max(rows_per_step - 1, 1), rows_per_step, rows_per_step + 1,
+                      2 * rows_per_step, 2 * rows_per_step + 1}:
+                a = field.random((m, 2), rng)
+                b = field.random((2, n), rng)
+                got = kernels.matmul(field, a, b, col_block=tile)
+                assert np.array_equal(got, kernels._matmul_reference(field, a, b)), (m, n)
+                assert np.array_equal(got, kernels.matmul(field, a, b)), (m, n)
 
     def test_zero_and_unit_coefficients(self, field):
-        """The sentinel-skip and gather-free x1 shortcuts stay exact."""
+        """Zero and unit coefficients are exact through the sentinel."""
         rng = np.random.default_rng(field.q + 7)
         b = field.random((5, 400), rng)
         zeros = field.zeros((3, 5))
@@ -105,7 +119,7 @@ class TestZeroTimesXIsZero:
     @pytest.mark.parametrize("n", [1, 4, 257, 5000])
     def test_matmul_with_zero_rows_and_columns(self, field, n):
         """A zero coefficient row zeroes its output row; zero data
-        columns stay zero -- on both the loop and broadcast paths."""
+        columns stay zero -- at one row per step and at many."""
         rng = np.random.default_rng(field.q + n)
         a = field.random((4, 6), rng)
         a[2, :] = 0
@@ -125,17 +139,15 @@ class TestZeroTimesXIsZero:
 
 class TestValidation:
     def test_block_sizes_below_one_raise(self):
-        """row_block <= 0 used to make range() yield nothing and the
+        """A block size <= 0 would make range() yield nothing and the
         product silently come back all-zero."""
         field = GF(16)
         a = field.random((4, 4), np.random.default_rng(0))
         for bad in (0, -1, -64):
-            with pytest.raises(ValueError, match="row_block"):
-                kernels.matmul(field, a, a, row_block=bad)
-            with pytest.raises(ValueError, match="row_block"):
-                linalg.gf_matmul(field, a, a, row_block=bad)
-        with pytest.raises(ValueError, match="col_block"):
-            kernels.matmul(field, a, a, col_block=0)
+            with pytest.raises(ValueError, match="col_block"):
+                kernels.matmul(field, a, a, col_block=bad)
+            with pytest.raises(ValueError, match="col_block"):
+                kernels.matmul_sharded(field, a, a, workers=1, col_block=bad)
 
     def test_shape_mismatch_raises(self):
         field = GF(16)
@@ -160,6 +172,29 @@ class TestValidation:
             )
         with pytest.raises(TypeError, match="integers"):
             kernels.matmul(field, np.array([[1.5]]), good)
+
+    @pytest.mark.parametrize("q", [4, 8, 16])
+    def test_out_of_range_elements_never_yield_a_result(self, q):
+        """The table lookups are bounds-checked where the index is an
+        *element*: an out-of-range operand must raise from all four entry
+        points -- as a same-dtype array in a narrow field (``_coerce``
+        does not scan those; ``np.take(..., mode="clip")`` on them would
+        return well-formed garbage), and as a wider integer dtype."""
+        field = GF(q)
+        good = field.ones((2, 2))
+        bads = [np.full((2, 2), field.order + 3, dtype=np.int64)]
+        if field.order <= np.iinfo(field.dtype).max:
+            bads.append(np.full((2, 2), field.order + 3, dtype=field.dtype))
+        for bad in bads:
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises((ValueError, IndexError)):
+                    field.multiply(a, b)
+                with pytest.raises((ValueError, IndexError)):
+                    field.linear_combination(a[0], b)
+                with pytest.raises((ValueError, IndexError)):
+                    kernels.matmul(field, a, b)
+            with pytest.raises((ValueError, IndexError)):
+                linalg.extract_and_invert(field, bad)
 
     def test_in_range_int64_coerces(self):
         field = GF(16)

@@ -7,6 +7,8 @@ invertible) and the solve/invert round-trips of :mod:`repro.gf.linalg`
 over arbitrary elements and matrices instead of a handful of fixtures.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,81 @@ class TestLinalgRoundTrips:
             assert (reduced == field.eye(n)).all()
 
 
+def direct_rank(field, a):
+    """Rank by scalar-pivot elimination on ``multiply_direct``: shares no
+    table lookup and no loop with :mod:`repro.gf.linalg`."""
+    work = a.copy()
+    rank = 0
+    for col in range(work.shape[1]):
+        hits = [r for r in range(rank, len(work)) if work[r, col]]
+        if not hits:
+            continue
+        work[[rank, hits[0]]] = work[[hits[0], rank]]
+        work[rank] = field.multiply_direct(field.inverse_elements(work[rank, col]), work[rank])
+        for r in range(len(work)):
+            if r != rank and work[r, col]:
+                work[r] ^= field.multiply_direct(work[r, col], work[rank])
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF(2^{f.q})")
+class TestStructuredExtraction:
+    """The right-looking extraction loop on inputs built to break it.
+
+    Its column window assumes nothing about *where* pivots fall, so the
+    inputs plant zero and duplicate rows at the head, middle and tail,
+    zero columns (pivots are then not a contiguous prefix), many more
+    rows than columns, ``count < cols`` and rank deficiency -- and the
+    selection must still be the rank-by-rank greedy one, the fused matrix
+    the one that takes the selected rows to their RREF.
+    """
+
+    @given(
+        cols=st.integers(min_value=1, max_value=5),
+        extra=st.integers(min_value=0, max_value=30),
+        data=st.data(),
+    )
+    def test_selection_and_inverse_match_greedy_oracle(self, field, cols, extra, data):
+        rows = cols + extra
+        tall = data.draw(matrices(field, rows, cols))
+        for position in (0, rows // 2, rows - 1):
+            kind = data.draw(st.sampled_from(["keep", "zero", "duplicate"]))
+            if kind == "zero":
+                tall[position] = 0
+            elif kind == "duplicate":
+                source = tall[data.draw(st.integers(0, rows - 1))]
+                tall[position] = field.multiply_direct(data.draw(elements(field)), source)
+        tall[:, data.draw(st.lists(st.integers(0, cols - 1), max_size=cols - 1))] = 0
+        count = data.draw(st.integers(min_value=1, max_value=cols))
+
+        greedy: list[int] = []
+        for index in range(rows):
+            if direct_rank(field, tall[greedy + [index]]) == len(greedy) + 1:
+                greedy.append(index)
+        assert linalg.extract_independent_rows(field, tall) == greedy
+        if len(greedy) < count:
+            message = f"matrix has rank {len(greedy)}, cannot extract {count} independent rows"
+            with pytest.raises(linalg.LinAlgError, match=message):
+                linalg.extract_independent_rows(field, tall, count)
+            with pytest.raises(linalg.LinAlgError, match=message):
+                linalg.extract_and_invert(field, tall, count)
+            return
+        assert linalg.extract_independent_rows(field, tall, count) == greedy[:count]
+        selected, fused = linalg.extract_and_invert(field, tall, count)
+        assert selected == greedy[:count]
+        assert fused.shape == (count, count)
+        # fused @ A[selected] is in RREF with ``count`` non-zero rows ...
+        reduced = naive_matmul(field, fused, tall[selected])
+        pivots = [int(np.flatnonzero(row)[0]) for row in reduced]
+        assert pivots == sorted(set(pivots))
+        for row, pivot in enumerate(pivots):
+            assert (reduced[:, pivot] == field.eye(count)[:, row]).all()
+        # ... which is the identity -- fused is the inverse -- when square.
+        if count == cols:
+            assert (reduced == field.eye(cols)).all()
+
+
 def naive_matmul(field, a, b):
     """Scalar-at-a-time oracle: multiply_direct + XOR, no table tricks."""
     m, k = a.shape
@@ -163,31 +240,44 @@ def naive_matmul(field, a, b):
 
 @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF(2^{f.q})")
 class TestBlockedKernelProperties:
-    """The cache-blocked kernel vs the naive oracle over arbitrary shapes.
+    """The chunked kernel vs the naive oracle over arbitrary shapes.
 
-    Covers the historical ``row_block`` edge cases by construction:
-    hypothesis draws empty matrices, single rows, and dimensions far from
-    any multiple of the 64-row default, plus arbitrary block sizes.
+    The kernel's step size is shrunk so that hypothesis-sized operands
+    sit on both sides of every boundary the one loop has: ``n`` around the
+    column tile and its multiples, ``m`` around the rows-per-step count
+    ``_CHUNK // tile`` and its multiples, one row per step (the add-free
+    offset view) and many, ``k = 1``, empty dimensions -- with all-zero
+    and all-one coefficient rows and zero data columns planted.
     """
 
     @given(
         m=st.integers(min_value=0, max_value=9),
         k=st.integers(min_value=0, max_value=9),
         n=st.integers(min_value=0, max_value=40),
-        row_block=st.integers(min_value=1, max_value=12),
+        chunk=st.integers(min_value=1, max_value=64),
         col_block=st.integers(min_value=1, max_value=50),
+        workers=st.integers(min_value=1, max_value=3),
         data=st.data(),
     )
-    def test_blocked_matches_naive(self, field, m, k, n, row_block, col_block, data):
+    def test_blocked_matches_naive(self, field, m, k, n, chunk, col_block, workers, data):
         a = data.draw(matrices(field, m, k))
         b = data.draw(matrices(field, k, n))
+        if m:
+            a[data.draw(st.integers(0, m - 1))] = 0
+            a[data.draw(st.integers(0, m - 1))] = 1
+        if n:
+            b[:, data.draw(st.integers(0, n - 1))] = 0
         expected = naive_matmul(field, a, b)
-        got = kernels.matmul(
-            field, a, b, row_block=row_block, col_block=col_block
-        )
+        with mock.patch.object(kernels, "_CHUNK", chunk), mock.patch.object(
+            kernels, "_MIN_SHARD_COLS", 4
+        ):
+            got = kernels.matmul(field, a, b, col_block=col_block)
+            sharded = kernels.matmul_sharded(field, a, b, workers=workers, col_block=col_block)
         assert got.shape == expected.shape
         assert (got == expected).all()
-        assert (linalg.gf_matmul(field, a, b, row_block=row_block) == expected).all()
+        assert sharded.tobytes() == got.tobytes()
+        assert (kernels._matmul_reference(field, a, b) == expected).all()
+        assert (linalg.gf_matmul(field, a, b) == expected).all()
 
     @given(
         m=st.integers(min_value=1, max_value=6),
