@@ -134,8 +134,9 @@ class RandomLinearRegeneratingCode:
         ``n_file`` original fragments; the (n_piece, n_file) coefficient
         matrix is stored with the piece.
 
-        ``workers`` bounds the thread fan-out of the per-piece matrix
-        products (default: ``REPRO_GF_WORKERS`` or the CPU count).  All
+        ``workers`` bounds the row-shard fan-out of the stacked matrix
+        product (default: ``REPRO_GF_WORKERS`` or the CPUs this process
+        may run on; small products run on one thread regardless).  All
         coefficient matrices are drawn *before* any product, so the rng
         stream -- and therefore the encoded bytes -- are identical for
         every worker count.

@@ -12,9 +12,18 @@ Three promises are pinned here:
    the ``log[0]`` sentinel unreachable on every kernel path.
 3. **Discipline** -- block sizes below 1 raise instead of silently
    returning zeros, wrong-dtype *and* same-dtype out-of-range operands
-   raise instead of wrapping or clipping, and the thread-sharded product
-   is byte-identical for every worker count.
+   raise instead of wrapping or clipping, and the row-sharded product
+   is byte-identical for every worker count, on concurrent callers and
+   in a forked child, without spawning threads after its first use.
 """
+
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -210,36 +219,176 @@ class TestBackends:
         assert kernels.active_backend() == "numpy"
 
 
-class TestSharded:
-    def test_worker_count_invariance(self):
-        """Disjoint column shards: the result is byte-identical for any
-        worker count, so REPRO_GF_WORKERS can never change encodings."""
-        field = GF(16)
-        rng = np.random.default_rng(3)
-        a = field.random((8, 31), rng)
-        b = field.random((31, 200_000), rng)
-        expected = kernels.matmul(field, a, b)
-        for workers in (1, 2, 3, 7):
-            got = kernels.matmul_sharded(field, a, b, workers=workers)
-            assert got.tobytes() == expected.tobytes(), workers
+@pytest.fixture()
+def fan_out(monkeypatch):
+    """Shrink the fan-out threshold so test-sized products split into shards."""
+    monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1 << 10)
 
-    def test_narrow_data_does_not_shard(self):
+
+def fan_out_operands(seed, m=8):
+    """A product wide enough for three column tiles, the last one ragged."""
+    field = GF(16)
+    rng = np.random.default_rng(seed)
+    width = 2 * kernels.DEFAULT_COL_BLOCK + 4464
+    return field, field.random((m, 31), rng), field.random((31, width), rng)
+
+
+class _Untouchable:
+    def __getattr__(self, name):
+        raise AssertionError(f"the shard pool was used ({name})")
+
+
+class TestSharded:
+    def test_worker_count_invariance(self, fan_out):
+        """Disjoint row shards: the result is byte-identical for any
+        worker count -- including more workers than rows -- so
+        REPRO_GF_WORKERS can never change encodings."""
+        for m in (8, 2):
+            field, a, b = fan_out_operands(3, m)
+            expected = kernels._matmul_reference(field, a, b)
+            for workers in (1, 2, 3, 7):
+                got = kernels.matmul(field, a, b, workers=workers)
+                assert got.tobytes() == expected.tobytes(), (m, workers)
+                sharded = kernels.matmul_sharded(field, a, b, workers=workers)
+                assert sharded.tobytes() == expected.tobytes(), (m, workers)
+
+    def test_narrow_data_does_not_shard(self, monkeypatch):
+        """Below the threshold the product runs inline on the caller."""
         field = GF(16)
         rng = np.random.default_rng(4)
         a = field.random((2, 3), rng)
         b = field.random((3, 50), rng)
-        assert np.array_equal(
-            kernels.matmul_sharded(field, a, b, workers=8),
-            kernels.matmul(field, a, b),
-        )
+        expected = kernels._matmul_reference(field, a, b)
+        monkeypatch.setattr(kernels, "_POOL", _Untouchable())
+        assert np.array_equal(kernels.matmul_sharded(field, a, b, workers=8), expected)
+
+    def test_single_worker_never_touches_the_pool(self, fan_out, monkeypatch):
+        field, a, b = fan_out_operands(5)
+        expected = kernels._matmul_reference(field, a, b)
+        monkeypatch.setenv(kernels.WORKERS_ENV, "1")
+        monkeypatch.setattr(kernels, "_POOL", _Untouchable())
+        assert kernels.matmul(field, a, b).tobytes() == expected.tobytes()
+
+    def test_no_thread_is_spawned_after_the_first_fan_out(self, fan_out, monkeypatch):
+        """The pool's threads are created once, not per call: a pool
+        built and joined inside each call would leave ``enumerate()``
+        alone too, so thread starts are counted as well."""
+        field, a, b = fan_out_operands(6)
+        first = kernels.matmul(field, a, b, workers=2)
+        before = set(threading.enumerate())
+        started = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for _ in range(20):
+            assert kernels.matmul(field, a, b, workers=2).tobytes() == first.tobytes()
+        assert started == []
+        assert set(threading.enumerate()) - before == set()
+
+    def test_concurrent_callers_share_the_pool(self, fan_out, monkeypatch):
+        """Three callers fanning out three ways at once on a fresh pool,
+        with a short switch interval: exact results, and the pool grows to
+        two threads once -- no second pool, no lost update of its size."""
+        monkeypatch.setattr(kernels, "_POOL", kernels._ShardPool())
+        operands = [fan_out_operands(seed) for seed in (7, 8, 9)]
+        expected = [kernels.matmul(f, a, b, workers=1).tobytes() for f, a, b in operands]
+        before = set(threading.enumerate())
+        start = threading.Barrier(len(operands))
+        results: list[list[bytes]] = [[] for _ in operands]
+
+        def caller(slot):
+            start.wait()
+            for _ in range(5):
+                results[slot].append(kernels.matmul(*operands[slot], workers=3).tobytes())
+
+        callers = [threading.Thread(target=caller, args=(slot,)) for slot in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [[blob] * 5 for blob in expected]
+        spawned = set(threading.enumerate()) - before
+        assert sorted(thread.name for thread in spawned) == ["gf-shard-1", "gf-shard-2"]
+
+    def test_pool_lets_go_of_a_finished_product(self, fan_out):
+        """Shard arguments are views of the output and the log tile; an
+        idle pool thread must not keep them alive until its next task."""
+        field, a, b = fan_out_operands(10)
+        out = weakref.ref(kernels.matmul(field, a, b, workers=2))
+        deadline = time.monotonic() + 10
+        while out() is not None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert out() is None
+
+    def test_pool_shard_error_reaches_the_caller(self):
+        def shard(fail):
+            if fail:
+                raise RuntimeError("shard failed")
+
+        with pytest.raises(RuntimeError, match="shard failed"):
+            kernels._POOL.run(shard, [(True,), (False,)])
+        kernels._POOL.run(shard, [(False,), (False,)])  # the pool survives it
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork only")
+    def test_forked_child_can_fan_out(self, fan_out):
+        """A child inherits the pool object but none of its threads; the
+        first fan-out there must not wait forever on a dead thread."""
+        field, a, b = fan_out_operands(9)
+        expected = kernels.matmul(field, a, b, workers=2).tobytes()  # parent's pool is live
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child reports through its exit code
+            code = 1
+            try:
+                code = 0 if kernels.matmul(field, a, b, workers=2).tobytes() == expected else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("fan-out in a forked child hung")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status) == 0
 
     def test_workers_validation(self, monkeypatch):
         field = GF(16)
         a = field.zeros((2, 2))
         with pytest.raises(ValueError, match="workers"):
             kernels.matmul_sharded(field, a, a, workers=0)
+        with pytest.raises(ValueError, match="workers"):
+            kernels.matmul(field, a, a, workers=0)
         monkeypatch.setenv(kernels.WORKERS_ENV, "0")
         with pytest.raises(ValueError, match=kernels.WORKERS_ENV):
             kernels.default_workers()
+        with pytest.raises(ValueError, match=kernels.WORKERS_ENV):
+            kernels.matmul(field, a, a)
         monkeypatch.setenv(kernels.WORKERS_ENV, "5")
         assert kernels.default_workers() == 5
+
+    def test_default_workers_counts_usable_cpus(self, monkeypatch):
+        """A process pinned to 2 of 64 CPUs splits products 2 ways, not 64."""
+        monkeypatch.delenv(kernels.WORKERS_ENV, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3, 5}, raising=False)
+        assert kernels.default_workers() == 2
+        monkeypatch.setenv(kernels.WORKERS_ENV, "3")
+        assert kernels.default_workers() == 3
+        monkeypatch.delenv(kernels.WORKERS_ENV)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert kernels.default_workers() == 64

@@ -247,7 +247,10 @@ class TestBlockedKernelProperties:
     column tile and its multiples, ``m`` around the rows-per-step count
     ``_CHUNK // tile`` and its multiples, one row per step (the add-free
     offset view) and many, ``k = 1``, empty dimensions -- with all-zero
-    and all-one coefficient rows and zero data columns planted.
+    and all-one coefficient rows and zero data columns planted.  The
+    fan-out threshold is shrunk to one element operation, so the same
+    operands also split into 1-3 row shards on the persistent pool,
+    including more workers than rows.
     """
 
     @given(
@@ -269,13 +272,17 @@ class TestBlockedKernelProperties:
             b[:, data.draw(st.integers(0, n - 1))] = 0
         expected = naive_matmul(field, a, b)
         with mock.patch.object(kernels, "_CHUNK", chunk), mock.patch.object(
-            kernels, "_MIN_SHARD_COLS", 4
+            kernels, "_MIN_SHARD_OPS", 1
         ):
-            got = kernels.matmul(field, a, b, col_block=col_block)
-            sharded = kernels.matmul_sharded(field, a, b, workers=workers, col_block=col_block)
+            got = kernels.matmul(field, a, b, workers=1, col_block=col_block)
+            sharded = kernels.matmul(field, a, b, workers=workers, col_block=col_block)
+            delegated = kernels.matmul_sharded(
+                field, a, b, workers=workers, col_block=col_block
+            )
         assert got.shape == expected.shape
         assert (got == expected).all()
         assert sharded.tobytes() == got.tobytes()
+        assert delegated.tobytes() == got.tobytes()
         assert (kernels._matmul_reference(field, a, b) == expected).all()
         assert (linalg.gf_matmul(field, a, b) == expected).all()
 
