@@ -363,11 +363,16 @@ class GaloisField:
     # byte <-> element packing
     # ------------------------------------------------------------------
 
-    def bytes_to_elements(self, data: bytes) -> np.ndarray:
+    def bytes_to_elements(self, data: bytes | bytearray | memoryview) -> np.ndarray:
         """Interpret raw bytes as little-endian field elements.
 
         Only supported for byte-aligned fields (q = 8 or 16), which are the
         ones used for actual data coding; narrow fields exist for tests.
+
+        On a little-endian host the result is a **view** of ``data``, not
+        a copy: read-only when ``data`` is ``bytes`` (or a read-only
+        ``memoryview``), and keeping ``data`` alive while referenced.
+        Callers that need to mutate the elements copy them first.
         """
         if self.q not in (8, 16):
             raise ValueError("byte packing requires q == 8 or q == 16")
@@ -376,7 +381,9 @@ class GaloisField:
                 f"data length {len(data)} is not a multiple of the "
                 f"element size {self.element_size}"
             )
-        return np.frombuffer(data, dtype=self.dtype.newbyteorder("<")).astype(self.dtype)
+        return np.frombuffer(data, dtype=self.dtype.newbyteorder("<")).astype(
+            self.dtype, copy=False
+        )
 
     def elements_to_bytes(self, elements: np.ndarray) -> bytes:
         """Serialize field elements back to little-endian bytes."""

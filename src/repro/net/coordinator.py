@@ -37,6 +37,7 @@ from repro.core.params import RCParams
 from repro.core.regenerating import DecodingError, RandomLinearRegeneratingCode
 from repro.core.blocks import Piece
 from repro.core.serialization import (
+    HEADER_SIZE,
     SerializationError,
     fragment_from_bytes,
     piece_from_bytes,
@@ -79,6 +80,12 @@ __all__ = [
 ]
 
 MANIFEST_FORMAT = 1
+
+#: Serialized piece bytes one :meth:`Coordinator.insert` may hold at once,
+#: from ``piece_to_bytes`` until the store returns.  A piece larger than
+#: this still goes out, alone.  At 8 MiB a 16 MiB RC(8,8,10,1) insert
+#: keeps three pieces in flight; smaller files place every piece at once.
+_INSERT_BUDGET_BYTES = 8 << 20
 
 
 @dataclasses.dataclass(frozen=True)
@@ -414,8 +421,25 @@ class Coordinator:
             file_size=len(data),
         )
         dead: set[PeerAddress] = set()
+        in_flight = 0
+        room = asyncio.Condition()
 
         async def place(piece) -> tuple[int, PeerAddress, int] | None:
+            nonlocal in_flight
+            size = HEADER_SIZE + piece.storage_bytes(self.field)
+            async with room:
+                await room.wait_for(
+                    lambda: not in_flight or in_flight + size <= _INSERT_BUDGET_BYTES
+                )
+                in_flight += size
+            try:
+                return await store(piece)
+            finally:
+                async with room:
+                    in_flight -= size
+                    room.notify_all()
+
+        async def store(piece) -> tuple[int, PeerAddress, int] | None:
             blob = piece_to_bytes(piece, self.field)
             for step in range(len(peers)):
                 location = peers[(piece.index + step) % len(peers)]
@@ -731,17 +755,21 @@ class Coordinator:
                 rows.append(matrices[position][row_cursor[position]])
                 row_cursor[position] += 1
             stacked = np.stack(rows)
+            # The fetched frames are views the stack has copied out of;
+            # drop them before the decode allocates its output.
+            del rows, matrices, outcomes
+            payload = stacked.size * self.field.element_size
             # The final decode is the other big GF product; keep the event
             # loop free while the blocked kernel runs.
             with span.child("decode"):
                 original = await asyncio.to_thread(
                     linalg.gf_matmul, self.field, plan.inverse, stacked
                 )
+            del stacked
             # One copy from the decoded matrix to the caller's bytes.
             data = bytes(
                 self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
             )
-            payload = stacked.size * self.field.element_size
             stats = ReconstructStats(
                 fragments_downloaded=len(plan.selection),
                 payload_bytes=payload,

@@ -68,6 +68,7 @@ __all__ = [
     "PROTOCOL_MAGIC",
     "PROTOCOL_VERSION",
     "MAX_BODY_BYTES",
+    "WRITE_THROUGH_BYTES",
     "MessageType",
     "ErrorCode",
     "FLAG_COEFFS_ONLY",
@@ -104,6 +105,10 @@ _ROWS_HEADER = struct.Struct("<BBHII")
 
 #: GET_PIECE flag: return only the coefficient rows (l_frag = 0).
 FLAG_COEFFS_ONLY = 0x01
+
+#: Frame parts at least this large are written as they are; smaller ones
+#: are joined first, since a copy that small is cheaper than a packet.
+WRITE_THROUGH_BYTES = 64 * 1024
 
 
 class MessageType(enum.IntEnum):
@@ -160,11 +165,11 @@ class Message:
         """The body as a list of buffers, bulky payloads left unjoined.
 
         This is the zero-copy framing surface: :func:`write_message`
-        hands the list straight to ``StreamWriter.writelines`` (the
-        ``writev`` analogue), so a multi-megabyte piece blob is never
-        concatenated into a fresh byte string just to be framed.
-        Messages with large payloads override this; small fixed-layout
-        messages inherit the single-part default.
+        passes every part of :data:`WRITE_THROUGH_BYTES` or more to the
+        transport as the caller's own object, so a multi-megabyte piece
+        blob is never concatenated into a fresh byte string just to be
+        framed.  Messages with large payloads override this; small
+        fixed-layout messages inherit the single-part default.
         """
         return [self.encode_body()]
 
@@ -321,7 +326,12 @@ class Rows(Message):
         return cls(q=q, data=data, n_rows=n_rows, l_frag=l_frag)
 
     def to_matrix(self, field: GaloisField) -> np.ndarray:
-        """The (n_rows, l_frag) element matrix carried by this message."""
+        """The (n_rows, l_frag) element matrix carried by this message.
+
+        A view of the received body (see
+        :meth:`~repro.gf.field.GaloisField.bytes_to_elements`): read-only,
+        and no copy is made.
+        """
         if field.q != self.q:
             raise ProtocolError(f"ROWS encoded over GF(2^{self.q}), expected {field.q}")
         return field.bytes_to_elements(self.data).reshape(self.n_rows, self.l_frag)
@@ -431,9 +441,9 @@ def encode_frames(message: Message) -> list[Buffer]:
     """Frame ``message`` as a buffer list: ``[header, *body parts]``.
 
     The zero-copy encoding path: bulky payloads (piece blobs, fragment
-    rows) stay as the caller's buffers and are written to the socket with
-    one ``writelines`` call instead of being joined into a fresh byte
-    string.  :func:`encode_message` is the joined form for callers that
+    rows) stay as the caller's buffers, which :func:`write_message`
+    hands to the transport without joining them.  Empty parts are
+    dropped.  :func:`encode_message` is the joined form for callers that
     need contiguous bytes (tests, fault injection's frame mangling).
     """
     parts = message.encode_body_parts()
@@ -535,14 +545,26 @@ async def write_message(
     unbounded ``drain()`` on a bulky piece upload would stall the caller
     with it.  ``None`` keeps the historical unbounded behaviour.
 
-    Frames go out as a buffer list via ``writelines`` (``writev`` style):
-    header and payload parts are handed to the transport without being
-    concatenated first, so large piece uploads/downloads cost zero
-    framing copies.  Returns the frame size in bytes (header + body)
-    for byte-accounting callers.
+    Parts of :data:`WRITE_THROUGH_BYTES` or more go to ``writer.write``
+    as the caller's own objects, so a piece blob or a row matrix view is
+    never joined into a frame-sized copy (``StreamWriter.writelines``
+    does exactly that join on Python 3.11).  Runs of smaller parts --
+    the frame header, a key, a ROWS header -- are joined into one
+    ``write``, so a small message is one write and one packet.  Returns
+    the frame size in bytes (header + body) for byte-accounting callers.
     """
     frames = encode_frames(message)
-    writer.writelines(frames)
+    small: list[Buffer] = []
+    for part in frames:
+        if len(part) < WRITE_THROUGH_BYTES:
+            small.append(part)
+            continue
+        if small:
+            writer.write(b"".join(small))
+            small = []
+        writer.write(part)
+    if small:
+        writer.write(b"".join(small))
     if timeout is None:
         await writer.drain()
     else:

@@ -271,6 +271,10 @@ class PeerDaemon:
         self._connections_open.inc()
         try:
             while True:
+                # An idle connection must not pin its last exchange: a
+                # STORE_PIECE body or a ROWS view of a stored piece is
+                # megabytes, and a pooled stream may idle indefinitely.
+                request = response = None
                 try:
                     if self.idle_timeout is not None:
                         request, frame_bytes = await asyncio.wait_for(
@@ -426,7 +430,8 @@ class PeerDaemon:
 
     def _store_piece(self, request: StorePiece) -> Message:
         # Parse before storing: a piece that fails its CRC32 (format v2)
-        # is rejected at ingress, not discovered at repair time.
+        # is rejected at ingress, not discovered at repair time.  The
+        # parse checks header and CRC and copies nothing.
         piece_from_bytes(request.blob)
         self.store.put(request.key, request.blob)
         return Ok()
@@ -456,7 +461,13 @@ class PeerDaemon:
                     code=int(ErrorCode.BAD_REQUEST),
                     message=f"row {row} out of range (piece has {piece.n_piece})",
                 )
-        matrix = piece.data[list(request.rows), :]
+        rows = request.rows
+        if rows and rows == tuple(range(rows[0], rows[0] + len(rows))):
+            # A contiguous ascending run (every row, for reconstructions
+            # that read whole pieces): a view of the stored blob.
+            matrix = piece.data[rows[0] : rows[0] + len(rows)]
+        else:
+            matrix = piece.data[list(rows), :]
         return Rows.from_matrix(field, matrix)
 
     def _repair_read(self, request: RepairRead) -> Message:

@@ -1,10 +1,14 @@
 """Tests for the piece/fragment wire format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.blocks import Fragment, Piece
 from repro.core.params import RCParams
 from repro.core.regenerating import RandomLinearRegeneratingCode
 from repro.core.serialization import (
@@ -177,6 +181,78 @@ class TestVersion1Compatibility:
         v1_blob[-1] ^= 0xFF
         restored, _ = piece_from_bytes(bytes(v1_blob))  # parses fine...
         assert not np.all(restored.data == encoded.pieces[0].data)  # ...silently wrong
+
+
+def _joined(kind: int, field, index: int, coefficients, data) -> bytes:
+    """The format spelled out as header + coefficient bytes + data bytes."""
+    body = field.elements_to_bytes(coefficients.reshape(-1)) + field.elements_to_bytes(
+        data.reshape(-1)
+    )
+    n_rows, n_file = coefficients.shape
+    header = struct.Struct("<4sBBBBIIIII").pack(
+        MAGIC, FORMAT_VERSION, kind, field.q, 0, index, n_rows, n_file,
+        data.shape[1], zlib.crc32(body),
+    )
+    return header + body
+
+
+def _as_array(blob) -> np.ndarray:
+    return np.frombuffer(blob, dtype=np.uint8)
+
+
+class TestZeroCopy:
+    """Serialize in place, parse by view: the bytes are the old ones."""
+
+    @pytest.mark.parametrize("q", [8, 16])
+    @pytest.mark.parametrize("l_frag", [0, 1, 7])
+    def test_piece_bytes_match_joined_formula(self, q, l_frag):
+        field = GF(q)
+        rng = np.random.default_rng(q + l_frag)
+        piece = Piece(
+            index=5,
+            data=field.random((3, l_frag), rng),
+            coefficients=field.random((3, 4), rng),
+        )
+        expected = _joined(1, field, 5, piece.coefficients, piece.data)
+        assert piece_to_bytes(piece, field) == expected
+
+    @pytest.mark.parametrize("q", [8, 16])
+    def test_fragment_bytes_match_joined_formula(self, q):
+        field = GF(q)
+        rng = np.random.default_rng(q)
+        fragment = Fragment(data=field.random(9, rng), coefficients=field.random(4, rng))
+        expected = _joined(
+            2, field, 0, fragment.coefficients[None, :], fragment.data[None, :]
+        )
+        assert fragment_to_bytes(fragment, field) == expected
+
+    def test_parsed_piece_is_a_read_only_view_of_bytes(self, code, encoded):
+        blob = bytes(piece_to_bytes(encoded.pieces[0], code.field))
+        piece, _ = piece_from_bytes(blob)
+        for array in (piece.data, piece.coefficients):
+            assert np.shares_memory(array, _as_array(blob))
+            assert not array.flags.writeable
+
+    def test_parsed_fragment_is_a_read_only_view_of_bytes(self, code, encoded):
+        fragment = code.participant_contribution(encoded.pieces[0])
+        blob = bytes(fragment_to_bytes(fragment, code.field))
+        restored, _ = fragment_from_bytes(blob)
+        for array in (restored.data, restored.coefficients):
+            assert np.shares_memory(array, _as_array(blob))
+            assert not array.flags.writeable
+
+    def test_parse_of_a_bytearray_aliases_it_writably(self, code, encoded):
+        blob = piece_to_bytes(encoded.pieces[0], code.field)
+        assert isinstance(blob, bytearray)
+        piece, _ = piece_from_bytes(blob)
+        assert np.shares_memory(piece.data, _as_array(blob))
+        assert piece.data.flags.writeable
+
+    def test_parse_of_a_memoryview_slice_aliases_the_frame(self, code, encoded):
+        frame = b"\x00" * 6 + bytes(piece_to_bytes(encoded.pieces[0], code.field))
+        piece, _ = piece_from_bytes(memoryview(frame)[6:])
+        assert np.shares_memory(piece.data, _as_array(frame))
+        assert np.all(piece.data == encoded.pieces[0].data)
 
 
 class TestPropertyBased:

@@ -13,6 +13,7 @@ rely on:
 
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.core.serialization import (
@@ -60,6 +61,13 @@ class TestGoldenStability:
     def test_encoder_reproduces_golden_fragment_exactly(self, golden_fragment):
         fragment, field = fragment_from_bytes(golden_fragment)
         assert fragment_to_bytes(fragment, field) == golden_fragment
+
+    @pytest.mark.parametrize("name", ["piece_v1.bin", "piece_v2.bin"])
+    def test_goldens_parse_as_views_of_the_file(self, name):
+        blob = (DATA / name).read_bytes()
+        piece, _ = piece_from_bytes(blob)
+        assert np.shares_memory(piece.data, np.frombuffer(blob, dtype=np.uint8))
+        assert not piece.data.flags.writeable
 
 
 class TestV1Compatibility:

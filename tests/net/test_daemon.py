@@ -134,6 +134,22 @@ class TestRequests:
 
         with_daemon(tmp_path, scenario)
 
+    @pytest.mark.parametrize(
+        "rows", [(0, 1, 2), (1, 2), (2,), (2, 1), (0, 2), (1, 1)], ids=str
+    )
+    def test_get_rows_runs_and_gaps_agree(self, tmp_path, code, encoded, rows):
+        """Contiguous ascending runs are served as a view of the stored
+        piece, anything else as a gather; both answer the same rows."""
+        piece = encoded.pieces[3]
+        assert piece.n_piece >= 3
+
+        async def scenario(daemon, client):
+            await client.store_piece("f/3", piece_to_bytes(piece, code.field))
+            matrix = await client.get_rows("f/3", rows, code.field)
+            assert np.array_equal(matrix, piece.data[list(rows)])
+
+        with_daemon(tmp_path, scenario)
+
     def test_get_rows_out_of_range_is_bad_request(self, tmp_path, code, encoded):
         async def scenario(daemon, client):
             await client.store_piece(

@@ -26,9 +26,11 @@ from repro.net.protocol import (
     RepairRead,
     Rows,
     StorePiece,
+    WRITE_THROUGH_BYTES,
     decode_message,
     encode_message,
     read_message,
+    write_message,
 )
 
 ALL_MESSAGES = [
@@ -87,6 +89,66 @@ class TestRoundtrip:
         message = Rows.from_matrix(field, matrix)
         decoded, _ = decode_message(encode_message(message))
         assert np.all(decoded.to_matrix(field) == matrix)
+
+
+class _RecordingWriter:
+    """A StreamWriter stand-in that keeps every object passed to write()."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, data):
+        self.writes.append(data)
+
+    def writelines(self, parts):
+        raise AssertionError("writelines joins every part into one copy")
+
+    async def drain(self):
+        pass
+
+
+def _written(message):
+    writer = _RecordingWriter()
+    sent = asyncio.run(write_message(writer, message))
+    assert sent == len(encode_message(message))
+    assert b"".join(writer.writes) == encode_message(message)
+    return writer.writes
+
+
+class TestWritePath:
+    @pytest.mark.parametrize(
+        "message", ALL_MESSAGES, ids=lambda m: type(m).__name__ + str(m.flags)
+    )
+    def test_small_frame_is_exactly_one_write(self, message):
+        assert len(_written(message)) == 1
+
+    def test_large_blob_reaches_write_as_the_same_object(self):
+        blob = bytearray(WRITE_THROUGH_BYTES)
+        writes = _written(StorePiece(key="file-1/7", blob=blob))
+        assert len(writes) == 2
+        assert writes[1] is blob  # no join, no copy
+
+    def test_large_rows_view_reaches_write_uncopied(self):
+        field = GF(16)
+        matrix = field.random((4, WRITE_THROUGH_BYTES // 8), np.random.default_rng(1))
+        message = Rows.from_matrix(field, matrix)
+        writes = _written(message)
+        assert len(writes) == 2
+        assert writes[1] is message.data
+        assert np.shares_memory(np.frombuffer(writes[1], dtype=np.uint16), matrix)
+
+    def test_small_part_just_under_the_threshold_is_joined(self):
+        blob = bytes(WRITE_THROUGH_BYTES - 1)
+        assert len(_written(PieceData(blob=blob))) == 1
+
+    def test_received_rows_are_a_view_of_the_frame(self):
+        field = GF(16)
+        matrix = field.random((3, 5), np.random.default_rng(2))
+        frame = encode_message(Rows.from_matrix(field, matrix))
+        decoded, _ = decode_message(frame)
+        received = decoded.to_matrix(field)
+        assert np.all(received == matrix)
+        assert np.shares_memory(received, np.frombuffer(decoded.data, dtype=np.uint8))
 
 
 class TestMalformed:
