@@ -8,7 +8,7 @@ throughput ratio.  Exits nonzero when instrumentation costs more than
 ``--obs-threshold`` allows (default: on must stay >= 0.9x of off)::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \\
-        --ops 100 --rounds 2 --json obs-overhead.json
+        --ops 200 --rounds 5 --json obs-overhead.json
 
 Where the time of a whole insert/repair/reconstruct goes is the e2e
 ledger's job (``benchmarks/e2e/README.md``), not this script's.

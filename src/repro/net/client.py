@@ -33,6 +33,13 @@ failures:
 Any stream whose conversation ended in anything but a complete, clean
 response is discarded rather than returned to the pool, so protocol
 desync cannot leak from one request into the next.
+
+Each transport event is counted once, per peer, in the client's obs
+registry: ``client.failures_total`` and ``client.reconnects_total``
+here, ``pool.connections_*_total`` in the pool.  The pools record into
+that same registry (a :class:`~repro.net.coordinator.Coordinator`
+shares its own with every client), so a loop switch or :meth:`aclose`
+that drops a pool loses no count.
 """
 
 from __future__ import annotations
@@ -153,24 +160,17 @@ class PeerClient:
         self.fault_scope = fault_scope
         self.pool_size = pool_size if pool_size is not None else default_pool_size()
         self.pool_idle_timeout = pool_idle_timeout
-        #: Transport attempts that failed and were retried (monitoring).
-        self.transport_failures = 0
-        #: Stale pooled streams replaced transparently, without spending
-        #: the retry budget (monitoring).
-        self.pool_reconnects = 0
         # The pool binds to the running event loop (its semaphore does),
         # so it is created lazily on first request and rebuilt if the
         # client outlives an ``asyncio.run`` and is reused on a new loop.
         self._pool: ConnectionPool | None = None
         self._pool_loop: asyncio.AbstractEventLoop | None = None
-        # opened/reused totals carried over from pools this client has
-        # already retired (loop switch, aclose): counters must survive
-        # the pool object they were accumulated on.
-        self._retired_opened = 0
-        self._retired_reused = 0
-        #: Coordinator-shared or per-client obs registry (``REPRO_OBS``).
+        #: Coordinator-shared or per-client obs registry (``REPRO_OBS``),
+        #: also handed to every pool, so its counts outlive each pool.
         self.obs = registry if registry is not None else MetricsRegistry()
         peer = f"{host}:{port}"
+        # Transport attempts that failed and were retried, and stale
+        # pooled streams replaced without spending the retry budget.
         self._m_failures = self.obs.counter("client.failures_total", peer=peer)
         self._m_reconnects = self.obs.counter("client.reconnects_total", peer=peer)
         # Per-opcode (requests counter, rpc-latency histogram), cached by
@@ -186,25 +186,6 @@ class PeerClient:
         """The live connection pool (``None`` before the first request)."""
         return self._pool
 
-    @property
-    def connections_opened(self) -> int:
-        """Fresh connects over this client's lifetime, across every pool
-        it has owned (the live pool's counter alone resets whenever the
-        pool is rebuilt for a new event loop or closed)."""
-        live = self._pool.opened if self._pool is not None else 0
-        return self._retired_opened + live
-
-    @property
-    def connections_reused(self) -> int:
-        """Idle-stream checkouts over this client's lifetime (see
-        :attr:`connections_opened` for why this outlives the pool)."""
-        live = self._pool.reused if self._pool is not None else 0
-        return self._retired_reused + live
-
-    def _retire_pool(self, pool: ConnectionPool) -> None:
-        self._retired_opened += pool.opened
-        self._retired_reused += pool.reused
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"PeerClient({self.host}:{self.port}, pool_size={self.pool_size})"
 
@@ -216,9 +197,6 @@ class PeerClient:
         loop = asyncio.get_running_loop()
         if self._pool is None or self._pool_loop is not loop:
             if self._pool is not None:
-                # Bank the old pool's counters before replacing it, or a
-                # loop switch silently zeroes opened/reused.
-                self._retire_pool(self._pool)
                 self._pool.abandon()
             self._pool = ConnectionPool(
                 self.host,
@@ -287,7 +265,6 @@ class PeerClient:
                     exc, (OSError, asyncio.IncompleteReadError)
                 ) and not isinstance(exc, asyncio.TimeoutError)
                 if attempt == 0 and reused and event is None and stale_stream:
-                    self.pool_reconnects += 1
                     self._m_reconnects.inc()
                     continue
                 raise
@@ -330,7 +307,6 @@ class PeerClient:
                 asyncio.TimeoutError,
                 asyncio.IncompleteReadError,
             ) as exc:
-                self.transport_failures += 1
                 self._m_failures.inc()
                 last = exc
                 if attempt < self.retry.retries:
@@ -355,7 +331,6 @@ class PeerClient:
         self._pool_loop = None
         if pool is None:
             return
-        self._retire_pool(pool)
         if asyncio.get_running_loop() is loop:
             await pool.aclose()
         else:

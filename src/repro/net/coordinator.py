@@ -27,9 +27,11 @@ and benchmarks can assert the paper's traffic accounting.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 import pathlib
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -56,7 +58,7 @@ from repro.net.errors import (
     RemoteError,
 )
 from repro.net.faults import FaultPlan
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, Span
 
 #: A peer answered, but what it said is unusable: a typed ERROR reply, a
 #: response that does not parse, or a payload failing its integrity
@@ -86,6 +88,15 @@ MANIFEST_FORMAT = 1
 #: this still goes out, alone.  At 8 MiB a 16 MiB RC(8,8,10,1) insert
 #: keeps three pieces in flight; smaller files place every piece at once.
 _INSERT_BUDGET_BYTES = 8 << 20
+
+#: Per-peer registry counter -> the :meth:`Coordinator.transport_stats`
+#: key that sums it over every peer.
+_TRANSPORT_COUNTERS = {
+    "pool.connections_opened_total": "connections_opened",
+    "pool.connections_reused_total": "connections_reused",
+    "client.reconnects_total": "pool_reconnects",
+    "client.failures_total": "transport_failures",
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -265,14 +276,6 @@ class Coordinator:
         #: the ``REPRO_OBS`` switch.
         self.obs = registry if registry is not None else MetricsRegistry()
         self._clients: dict[PeerAddress, PeerClient] = {}
-        # transport_stats() totals from clients already dropped by
-        # aclose(): the counters must survive pool teardown.
-        self._closed_transport_totals = {
-            "connections_opened": 0,
-            "connections_reused": 0,
-            "pool_reconnects": 0,
-            "transport_failures": 0,
-        }
 
     @classmethod
     def from_manifest(
@@ -316,18 +319,11 @@ class Coordinator:
     async def aclose(self) -> None:
         """Close every cached client's pooled connections.
 
-        The clients' transport counters are folded into a persistent
-        snapshot first, so :meth:`transport_stats` keeps reporting the
-        work done before teardown.
+        Their counts stay in :attr:`obs`, which outlives every pool.
         """
         clients, self._clients = list(self._clients.values()), {}
-        totals = self._closed_transport_totals
         for client in clients:
             await client.aclose()
-            totals["connections_opened"] += client.connections_opened
-            totals["connections_reused"] += client.connections_reused
-            totals["pool_reconnects"] += client.pool_reconnects
-            totals["transport_failures"] += client.transport_failures
 
     async def __aenter__(self) -> "Coordinator":
         return self
@@ -336,19 +332,18 @@ class Coordinator:
         await self.aclose()
 
     def transport_stats(self) -> dict[str, int]:
-        """Aggregate connection counters over this coordinator's lifetime.
+        """Connection counters over this coordinator's lifetime.
 
-        Kept as a thin legacy shim: the same four counters (and much
-        more, per peer and per opcode) live in :meth:`metrics_snapshot`.
-        Live clients and clients already torn down by :meth:`aclose`
-        both count, so the totals survive pool teardown.
+        Each key sums one per-peer counter of :attr:`obs` over every
+        peer, so the totals survive :meth:`aclose` and a loop switch.
+        Under ``REPRO_OBS=off`` the registry records nothing and every
+        key reads zero.
         """
-        totals = dict(self._closed_transport_totals)
-        for client in self._clients.values():
-            totals["pool_reconnects"] += client.pool_reconnects
-            totals["transport_failures"] += client.transport_failures
-            totals["connections_opened"] += client.connections_opened
-            totals["connections_reused"] += client.connections_reused
+        totals = dict.fromkeys(_TRANSPORT_COUNTERS.values(), 0)
+        for entry in self.obs.snapshot()["counters"]:
+            key = _TRANSPORT_COUNTERS.get(entry["name"])
+            if key is not None:
+                totals[key] += entry["value"]
         return totals
 
     def metrics_snapshot(self) -> dict:
@@ -362,17 +357,21 @@ class Coordinator:
         """
         return self.obs.snapshot()
 
-    # ------------------------------------------------------------------
-    # span / metric helpers
-    # ------------------------------------------------------------------
-
-    def _observe_op(self, op: str, span) -> None:
+    @contextlib.contextmanager
+    def _operation(self, op: str) -> Iterator[Span]:
+        """One life-cycle operation: its root span, then its latency in
+        ``coordinator.op_ns`` on success or its ``NetError`` type in
+        ``coordinator.errors_total`` on failure."""
+        span = self.obs.span(op)
+        try:
+            with span:
+                yield span
+        except NetError as exc:
+            self.obs.counter(
+                "coordinator.errors_total", op=op, error=type(exc).__name__
+            ).inc()
+            raise
         self.obs.histogram("coordinator.op_ns", op=op).observe(span.duration_ns)
-
-    def _count_error(self, op: str, exc: Exception) -> None:
-        self.obs.counter(
-            "coordinator.errors_total", op=op, error=type(exc).__name__
-        ).inc()
 
     # ------------------------------------------------------------------
     # insertion
@@ -389,109 +388,97 @@ class Coordinator:
         partial placement attached for cleanup -- when any piece cannot
         be placed anywhere.
         """
-        span = self.obs.span("insert")
-        try:
-            with span:
-                stats = await self._insert(span, data, peers, file_id)
-        except NetError as exc:
-            self._count_error("insert", exc)
-            raise
-        self._observe_op("insert", span)
-        return stats
+        with self._operation("insert") as span:
+            if not peers:
+                raise InsufficientPeersError("insertion needs at least one peer")
+            # Encoding a large file is CPU-heavy GF matmul work; run it off the
+            # event loop so the daemon keeps serving while the kernel fans out
+            # across REPRO_GF_WORKERS threads.  The encode child span is the
+            # CPU half of the paper's Table-1 split; the place/store_rpc spans
+            # are the transfer half.
+            with span.child("encode"):
+                encoded = await asyncio.to_thread(self.code.insert, data)
+            manifest = NetManifest(
+                file_id=file_id,
+                k=self.params.k,
+                h=self.params.h,
+                d=self.params.d,
+                i=self.params.i,
+                q=self.field.q,
+                file_size=len(data),
+            )
+            dead: set[PeerAddress] = set()
+            in_flight = 0
+            room = asyncio.Condition()
 
-    async def _insert(
-        self, span, data: bytes, peers: list[PeerAddress], file_id: str
-    ) -> InsertStats:
-        if not peers:
-            raise InsufficientPeersError("insertion needs at least one peer")
-        # Encoding a large file is CPU-heavy GF matmul work; run it off the
-        # event loop so the daemon keeps serving while the kernel fans out
-        # across REPRO_GF_WORKERS threads.  The encode child span is the
-        # CPU half of the paper's Table-1 split; the place/store_rpc spans
-        # are the transfer half.
-        with span.child("encode"):
-            encoded = await asyncio.to_thread(self.code.insert, data)
-        manifest = NetManifest(
-            file_id=file_id,
-            k=self.params.k,
-            h=self.params.h,
-            d=self.params.d,
-            i=self.params.i,
-            q=self.field.q,
-            file_size=len(data),
-        )
-        dead: set[PeerAddress] = set()
-        in_flight = 0
-        room = asyncio.Condition()
-
-        async def place(piece) -> tuple[int, PeerAddress, int] | None:
-            nonlocal in_flight
-            size = HEADER_SIZE + piece.storage_bytes(self.field)
-            async with room:
-                await room.wait_for(
-                    lambda: not in_flight or in_flight + size <= _INSERT_BUDGET_BYTES
-                )
-                in_flight += size
-            try:
-                return await store(piece)
-            finally:
+            async def place(piece) -> tuple[int, PeerAddress, int] | None:
+                nonlocal in_flight
+                size = HEADER_SIZE + piece.storage_bytes(self.field)
                 async with room:
-                    in_flight -= size
-                    room.notify_all()
-
-        async def store(piece) -> tuple[int, PeerAddress, int] | None:
-            blob = piece_to_bytes(piece, self.field)
-            for step in range(len(peers)):
-                location = peers[(piece.index + step) % len(peers)]
-                if location in dead:
-                    continue
+                    await room.wait_for(
+                        lambda: not in_flight or in_flight + size <= _INSERT_BUDGET_BYTES
+                    )
+                    in_flight += size
                 try:
-                    with span.child("store_rpc"):
-                        await self.client(location).store_piece(
-                            manifest.key(piece.index), blob
-                        )
-                    return piece.index, location, len(blob)
-                except PeerUnavailableError:
-                    dead.add(location)
-                except (RemoteError, ProtocolError):
-                    # The peer is alive but would not take this upload
-                    # (e.g. the blob was mangled in transit and failed
-                    # ingress CRC).  Try the next peer; do not blacklist.
-                    continue
-            return None  # homeless: reported collectively below
+                    return await store(piece)
+                finally:
+                    async with room:
+                        in_flight -= size
+                        room.notify_all()
 
-        with span.child("place"):
-            placements = await asyncio.gather(
-                *(place(piece) for piece in encoded.pieces)
+            async def store(piece) -> tuple[int, PeerAddress, int] | None:
+                blob = piece_to_bytes(piece, self.field)
+                for step in range(len(peers)):
+                    location = peers[(piece.index + step) % len(peers)]
+                    if location in dead:
+                        continue
+                    try:
+                        with span.child("store_rpc"):
+                            await self.client(location).store_piece(
+                                manifest.key(piece.index), blob
+                            )
+                        return piece.index, location, len(blob)
+                    except PeerUnavailableError:
+                        dead.add(location)
+                    except (RemoteError, ProtocolError):
+                        # The peer is alive but would not take this upload
+                        # (e.g. the blob was mangled in transit and failed
+                        # ingress CRC).  Try the next peer; do not blacklist.
+                        continue
+                return None  # homeless: reported collectively below
+
+            with span.child("place"):
+                placements = await asyncio.gather(
+                    *(place(piece) for piece in encoded.pieces)
+                )
+            uploaded = 0
+            unplaced = []
+            for piece, placement in zip(encoded.pieces, placements):
+                if placement is None:
+                    unplaced.append(piece.index)
+                    continue
+                index, location, nbytes = placement
+                manifest.pieces[index] = location
+                uploaded += nbytes
+            if unplaced:
+                # Every placement task has settled by now: no dangling
+                # uploads, and the partial placement is in the exception so
+                # the caller can clean up or retry the missing pieces.
+                raise InsufficientPeersError(
+                    f"pieces {unplaced} found no live peer "
+                    f"({len(dead)}/{len(peers)} peers dead); "
+                    f"{len(manifest.pieces)} of {len(encoded.pieces)} pieces placed",
+                    placed=manifest.pieces,
+                    unplaced=unplaced,
+                )
+            used = {location for location in manifest.pieces.values()}
+            self.obs.counter("coordinator.pieces_placed_total").inc(len(manifest.pieces))
+            return InsertStats(
+                manifest=manifest,
+                bytes_uploaded=uploaded,
+                peers_used=len(used),
+                peers_skipped=len(dead),
             )
-        uploaded = 0
-        unplaced = []
-        for piece, placement in zip(encoded.pieces, placements):
-            if placement is None:
-                unplaced.append(piece.index)
-                continue
-            index, location, nbytes = placement
-            manifest.pieces[index] = location
-            uploaded += nbytes
-        if unplaced:
-            # Every placement task has settled by now: no dangling
-            # uploads, and the partial placement is in the exception so
-            # the caller can clean up or retry the missing pieces.
-            raise InsufficientPeersError(
-                f"pieces {unplaced} found no live peer "
-                f"({len(dead)}/{len(peers)} peers dead); "
-                f"{len(manifest.pieces)} of {len(encoded.pieces)} pieces placed",
-                placed=manifest.pieces,
-                unplaced=unplaced,
-            )
-        used = {location for location in manifest.pieces.values()}
-        self.obs.counter("coordinator.pieces_placed_total").inc(len(manifest.pieces))
-        return InsertStats(
-            manifest=manifest,
-            bytes_uploaded=uploaded,
-            peers_used=len(used),
-            peers_skipped=len(dead),
-        )
 
     # ------------------------------------------------------------------
     # maintenance
@@ -512,114 +499,98 @@ class Coordinator:
         -- the durability boundary of the code.  Updates ``manifest`` in
         place on success.
         """
-        span = self.obs.span("repair")
-        try:
-            with span:
-                stats = await self._repair(span, manifest, lost_index, newcomer)
-        except NetError as exc:
-            self._count_error("repair", exc)
-            raise
-        self._observe_op("repair", span)
-        return stats
-
-    async def _repair(
-        self,
-        span,
-        manifest: NetManifest,
-        lost_index: int,
-        newcomer: PeerAddress,
-    ) -> RepairStats:
-        d = self.params.d
-        candidates = [
-            (index, location)
-            for index, location in sorted(manifest.pieces.items())
-            if index != lost_index
-        ]
-        if len(candidates) < d:
-            raise NetRepairError(
-                f"repair of piece {lost_index} needs d={d} helpers, only "
-                f"{len(candidates)} pieces remain"
-            )
-
-        async def contribute(index: int, location: PeerAddress):
-            # One helper contact: the RPC that asks a participant for its
-            # server-side combination (or discovers the helper is gone).
-            with span.child("probe"):
-                blob = await self.client(location).repair_read(manifest.key(index))
-            # Parse here so a fragment mangled on the wire (CRC failure,
-            # cut frame reassembled wrong) fails *this* helper and gets
-            # substituted, instead of aborting the whole repair.
-            fragment, field = fragment_from_bytes(blob)
-            if field != self.field:
-                raise SerializationError(
-                    f"helper {index} sent a fragment over {field}, "
-                    f"expected {self.field}"
+        with self._operation("repair") as span:
+            d = self.params.d
+            candidates = [
+                (index, location)
+                for index, location in sorted(manifest.pieces.items())
+                if index != lost_index
+            ]
+            if len(candidates) < d:
+                raise NetRepairError(
+                    f"repair of piece {lost_index} needs d={d} helpers, only "
+                    f"{len(candidates)} pieces remain"
                 )
-            return index, fragment
 
-        fragments: list[tuple[int, object]] = []
-        failed: list[int] = []
-        selected, remaining = candidates[:d], candidates[d:]
-        with span.child("fetch_fragments"):
-            while selected:
-                outcomes = await asyncio.gather(
-                    *(contribute(index, location) for index, location in selected),
-                    return_exceptions=True,
-                )
-                for (index, _), outcome in zip(selected, outcomes):
-                    if isinstance(outcome, PEER_FAILURES):
-                        failed.append(index)
-                    elif isinstance(outcome, BaseException):
-                        raise outcome
-                    else:
-                        fragments.append(outcome)
-                missing = d - len(fragments)
-                if missing == 0:
-                    break
-                if len(remaining) < missing:
-                    raise NetRepairError(
-                        f"repair of piece {lost_index}: {len(failed)} helpers "
-                        f"failed ({sorted(failed)}) and only {len(remaining)} "
-                        f"substitutes remain for {missing} open slots"
+            async def contribute(index: int, location: PeerAddress):
+                # One helper contact: the RPC that asks a participant for its
+                # server-side combination (or discovers the helper is gone).
+                with span.child("probe"):
+                    blob = await self.client(location).repair_read(manifest.key(index))
+                # Parse here so a fragment mangled on the wire (CRC failure,
+                # cut frame reassembled wrong) fails *this* helper and gets
+                # substituted, instead of aborting the whole repair.
+                fragment, field = fragment_from_bytes(blob)
+                if field != self.field:
+                    raise SerializationError(
+                        f"helper {index} sent a fragment over {field}, "
+                        f"expected {self.field}"
                     )
-                selected, remaining = remaining[:missing], remaining[missing:]
-        if failed:
-            self.obs.counter("coordinator.helpers_substituted_total").inc(len(failed))
+                return index, fragment
 
-        helpers = tuple(index for index, _ in fragments)
-        uploads = [fragment for _, fragment in fragments]
-        payload = sum(fragment.data_bytes(self.field) for fragment in uploads)
-        coefficients = sum(
-            fragment.coefficient_bytes(self.field) for fragment in uploads
-        )
-        with span.child("combine"):
-            # The newcomer's piece synthesis: the CPU half of a repair.
-            # The GF matmul underneath blocks for the whole combine, so
-            # run it off the loop like the reconstruction decode.
-            piece = await asyncio.to_thread(
-                self.code.newcomer_repair, uploads, lost_index
+            fragments: list[tuple[int, object]] = []
+            failed: list[int] = []
+            selected, remaining = candidates[:d], candidates[d:]
+            with span.child("fetch_fragments"):
+                while selected:
+                    outcomes = await asyncio.gather(
+                        *(contribute(index, location) for index, location in selected),
+                        return_exceptions=True,
+                    )
+                    for (index, _), outcome in zip(selected, outcomes):
+                        if isinstance(outcome, PEER_FAILURES):
+                            failed.append(index)
+                        elif isinstance(outcome, BaseException):
+                            raise outcome
+                        else:
+                            fragments.append(outcome)
+                    missing = d - len(fragments)
+                    if missing == 0:
+                        break
+                    if len(remaining) < missing:
+                        raise NetRepairError(
+                            f"repair of piece {lost_index}: {len(failed)} helpers "
+                            f"failed ({sorted(failed)}) and only {len(remaining)} "
+                            f"substitutes remain for {missing} open slots"
+                        )
+                    selected, remaining = remaining[:missing], remaining[missing:]
+            if failed:
+                self.obs.counter("coordinator.helpers_substituted_total").inc(len(failed))
+
+            helpers = tuple(index for index, _ in fragments)
+            uploads = [fragment for _, fragment in fragments]
+            payload = sum(fragment.data_bytes(self.field) for fragment in uploads)
+            coefficients = sum(
+                fragment.coefficient_bytes(self.field) for fragment in uploads
             )
-            blob = piece_to_bytes(piece, self.field)
-        try:
-            with span.child("store"):
-                await self.client(newcomer).store_piece(
-                    manifest.key(lost_index), blob
+            with span.child("combine"):
+                # The newcomer's piece synthesis: the CPU half of a repair.
+                # The GF matmul underneath blocks for the whole combine, so
+                # run it off the loop like the reconstruction decode.
+                piece = await asyncio.to_thread(
+                    self.code.newcomer_repair, uploads, lost_index
                 )
-        except PEER_FAILURES as exc:
-            # Any way the newcomer can fail the upload -- dead, a typed
-            # ERROR refusal, or a garbled reply -- is the same repair
-            # failure to the caller; keep the typed-error contract.
-            raise NetRepairError(
-                f"newcomer {newcomer} refused the regenerated piece: {exc}"
-            ) from exc
-        manifest.pieces[lost_index] = newcomer
-        return RepairStats(
-            index=lost_index,
-            helpers=helpers,
-            helpers_failed=tuple(failed),
-            payload_bytes=payload,
-            coefficient_bytes=coefficients,
-        )
+                blob = piece_to_bytes(piece, self.field)
+            try:
+                with span.child("store"):
+                    await self.client(newcomer).store_piece(
+                        manifest.key(lost_index), blob
+                    )
+            except PEER_FAILURES as exc:
+                # Any way the newcomer can fail the upload -- dead, a typed
+                # ERROR refusal, or a garbled reply -- is the same repair
+                # failure to the caller; keep the typed-error contract.
+                raise NetRepairError(
+                    f"newcomer {newcomer} refused the regenerated piece: {exc}"
+                ) from exc
+            manifest.pieces[lost_index] = newcomer
+            return RepairStats(
+                index=lost_index,
+                helpers=helpers,
+                helpers_failed=tuple(failed),
+                payload_bytes=payload,
+                coefficient_bytes=coefficients,
+            )
 
     # ------------------------------------------------------------------
     # reconstruction
@@ -638,143 +609,131 @@ class Coordinator:
         recomputed from the survivors -- the mirror image of repair's
         dead-helper substitution.
         """
-        span = self.obs.span("reconstruct")
-        try:
-            with span:
-                result = await self._reconstruct(span, manifest)
-        except NetError as exc:
-            self._count_error("reconstruct", exc)
-            raise
-        self._observe_op("reconstruct", span)
-        return result
+        with self._operation("reconstruct") as span:
+            candidates = list(sorted(manifest.pieces.items()))
+            probed = 0
 
-    async def _reconstruct(
-        self, span, manifest: NetManifest
-    ) -> tuple[bytes, ReconstructStats]:
-        candidates = list(sorted(manifest.pieces.items()))
-        probed = 0
-
-        async def fetch_coefficients(index: int, location: PeerAddress):
-            blob = await self.client(location).get_coefficients(manifest.key(index))
-            piece, field = piece_from_bytes(blob)
-            if field != self.field:
-                raise NetReconstructError(
-                    f"piece {index} encoded over {field}, expected {self.field}"
-                )
-            return index, location, piece, len(blob)
-
-        # Phase 1: coefficient matrices from k pieces, topping up past
-        # failures and rank deficiencies while candidates remain.
-        collected: list[tuple[int, PeerAddress, Piece]] = []
-        coefficient_bytes = 0
-        want = self.params.k
-        while True:
-            # The whole coefficient phase -- top-up downloads plus the
-            # rank-selection/inversion -- is one "plan" span per attempt.
-            with span.child("plan"):
-                while len(collected) < want and candidates:
-                    batch, candidates = (
-                        candidates[: want - len(collected)],
-                        candidates[want - len(collected) :],
+            async def fetch_coefficients(index: int, location: PeerAddress):
+                blob = await self.client(location).get_coefficients(manifest.key(index))
+                piece, field = piece_from_bytes(blob)
+                if field != self.field:
+                    raise NetReconstructError(
+                        f"piece {index} encoded over {field}, expected {self.field}"
                     )
-                    probed += len(batch)
+                return index, location, piece, len(blob)
+
+            # Phase 1: coefficient matrices from k pieces, topping up past
+            # failures and rank deficiencies while candidates remain.
+            collected: list[tuple[int, PeerAddress, Piece]] = []
+            coefficient_bytes = 0
+            want = self.params.k
+            while True:
+                # The whole coefficient phase -- top-up downloads plus the
+                # rank-selection/inversion -- is one "plan" span per attempt.
+                with span.child("plan"):
+                    while len(collected) < want and candidates:
+                        batch, candidates = (
+                            candidates[: want - len(collected)],
+                            candidates[want - len(collected) :],
+                        )
+                        probed += len(batch)
+                        outcomes = await asyncio.gather(
+                            *(fetch_coefficients(index, loc) for index, loc in batch),
+                            return_exceptions=True,
+                        )
+                        for outcome in outcomes:
+                            if isinstance(outcome, PEER_FAILURES):
+                                continue  # dead, corrupt, or garbled peer: skip it
+                            if isinstance(outcome, BaseException):
+                                raise outcome
+                            index, location, piece, nbytes = outcome
+                            collected.append((index, location, piece))
+                            coefficient_bytes += nbytes
+                    if len(collected) < self.params.k:
+                        raise NetReconstructError(
+                            f"only {len(collected)} pieces reachable, need at least "
+                            f"k={self.params.k}"
+                        )
+                    try:
+                        # Rank selection + inversion over the coefficient
+                        # matrix is the other CPU spike of a reconstruction;
+                        # off the loop so concurrent ops keep flowing.
+                        plan = await asyncio.to_thread(
+                            self.code.plan_reconstruction,
+                            [piece for _, _, piece in collected],
+                        )
+                    except DecodingError as exc:
+                        if not candidates:
+                            raise NetReconstructError(
+                                f"reachable pieces do not span the file: {exc}"
+                            ) from exc
+                        want = len(collected) + 1  # fetch one more piece and retry
+                        continue
+
+                # Phase 2: group the selected rows per piece and fetch only
+                # those fragments.
+                by_position: dict[int, list[int]] = {}
+                for position, row in plan.selection:
+                    by_position.setdefault(position, []).append(row)
+
+                async def fetch_rows(position: int):
+                    index, location, _ = collected[position]
+                    matrix = await self.client(location).get_rows(
+                        manifest.key(index), by_position[position], self.field
+                    )
+                    return position, matrix
+
+                with span.child("fetch"):
                     outcomes = await asyncio.gather(
-                        *(fetch_coefficients(index, loc) for index, loc in batch),
+                        *(fetch_rows(position) for position in by_position),
                         return_exceptions=True,
                     )
-                    for outcome in outcomes:
-                        if isinstance(outcome, PEER_FAILURES):
-                            continue  # dead, corrupt, or garbled peer: skip it
-                        if isinstance(outcome, BaseException):
-                            raise outcome
-                        index, location, piece, nbytes = outcome
-                        collected.append((index, location, piece))
-                        coefficient_bytes += nbytes
-                if len(collected) < self.params.k:
-                    raise NetReconstructError(
-                        f"only {len(collected)} pieces reachable, need at least "
-                        f"k={self.params.k}"
-                    )
-                try:
-                    # Rank selection + inversion over the coefficient
-                    # matrix is the other CPU spike of a reconstruction;
-                    # off the loop so concurrent ops keep flowing.
-                    plan = await asyncio.to_thread(
-                        self.code.plan_reconstruction,
-                        [piece for _, _, piece in collected],
-                    )
-                except DecodingError as exc:
-                    if not candidates:
-                        raise NetReconstructError(
-                            f"reachable pieces do not span the file: {exc}"
-                        ) from exc
-                    want = len(collected) + 1  # fetch one more piece and retry
+                lost_positions = []
+                matrices: dict[int, np.ndarray] = {}
+                for outcome in outcomes:
+                    if isinstance(outcome, PEER_FAILURES):
+                        continue
+                    if isinstance(outcome, BaseException):
+                        raise outcome
+                    position, matrix = outcome
+                    matrices[position] = matrix
+                lost_positions = [
+                    position for position in by_position if position not in matrices
+                ]
+                if lost_positions:
+                    # A piece died between the phases: drop it, re-plan.
+                    for position in sorted(lost_positions, reverse=True):
+                        del collected[position]
+                    want = max(self.params.k, len(collected))
                     continue
 
-            # Phase 2: group the selected rows per piece and fetch only
-            # those fragments.
-            by_position: dict[int, list[int]] = {}
-            for position, row in plan.selection:
-                by_position.setdefault(position, []).append(row)
-
-            async def fetch_rows(position: int):
-                index, location, _ = collected[position]
-                matrix = await self.client(location).get_rows(
-                    manifest.key(index), by_position[position], self.field
+                # Reassemble the planned rows in selection order and decode.
+                row_cursor = {position: 0 for position in by_position}
+                rows = []
+                for position, _ in plan.selection:
+                    rows.append(matrices[position][row_cursor[position]])
+                    row_cursor[position] += 1
+                stacked = np.stack(rows)
+                # The fetched frames are views the stack has copied out of;
+                # drop them before the decode allocates its output.
+                del rows, matrices, outcomes
+                payload = stacked.size * self.field.element_size
+                # The final decode is the other big GF product; keep the event
+                # loop free while the blocked kernel runs.
+                with span.child("decode"):
+                    original = await asyncio.to_thread(
+                        linalg.gf_matmul, self.field, plan.inverse, stacked
+                    )
+                del stacked
+                # One copy from the decoded matrix to the caller's bytes.
+                data = bytes(
+                    self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
                 )
-                return position, matrix
-
-            with span.child("fetch"):
-                outcomes = await asyncio.gather(
-                    *(fetch_rows(position) for position in by_position),
-                    return_exceptions=True,
+                stats = ReconstructStats(
+                    fragments_downloaded=len(plan.selection),
+                    payload_bytes=payload,
+                    coefficient_bytes=coefficient_bytes,
+                    pieces_probed=probed,
+                    pieces_used=len(by_position),
                 )
-            lost_positions = []
-            matrices: dict[int, np.ndarray] = {}
-            for outcome in outcomes:
-                if isinstance(outcome, PEER_FAILURES):
-                    continue
-                if isinstance(outcome, BaseException):
-                    raise outcome
-                position, matrix = outcome
-                matrices[position] = matrix
-            lost_positions = [
-                position for position in by_position if position not in matrices
-            ]
-            if lost_positions:
-                # A piece died between the phases: drop it, re-plan.
-                for position in sorted(lost_positions, reverse=True):
-                    del collected[position]
-                want = max(self.params.k, len(collected))
-                continue
-
-            # Reassemble the planned rows in selection order and decode.
-            row_cursor = {position: 0 for position in by_position}
-            rows = []
-            for position, _ in plan.selection:
-                rows.append(matrices[position][row_cursor[position]])
-                row_cursor[position] += 1
-            stacked = np.stack(rows)
-            # The fetched frames are views the stack has copied out of;
-            # drop them before the decode allocates its output.
-            del rows, matrices, outcomes
-            payload = stacked.size * self.field.element_size
-            # The final decode is the other big GF product; keep the event
-            # loop free while the blocked kernel runs.
-            with span.child("decode"):
-                original = await asyncio.to_thread(
-                    linalg.gf_matmul, self.field, plan.inverse, stacked
-                )
-            del stacked
-            # One copy from the decoded matrix to the caller's bytes.
-            data = bytes(
-                self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
-            )
-            stats = ReconstructStats(
-                fragments_downloaded=len(plan.selection),
-                payload_bytes=payload,
-                coefficient_bytes=coefficient_bytes,
-                pieces_probed=probed,
-                pieces_used=len(by_position),
-            )
-            return data, stats
+                return data, stats

@@ -26,6 +26,12 @@ fresh connection and every :meth:`release` closes it, which is exactly
 the pre-pooling transport (kept for A/B benchmarks and as a fallback
 for peers behind aggressive middleboxes).
 
+Each of those events -- a fresh connect, an idle checkout, an eviction,
+a reap -- is counted once, in the ``pool.connections_*_total{peer}``
+counters of the registry the pool was given.  A client hands its pool
+its own registry, which outlives the pool, so no count is lost when the
+pool is closed or rebuilt for a new event loop.
+
 The pool never starts background tasks, so it is safe to create in
 tests and CLIs that tear their event loop down immediately after use.
 """
@@ -35,7 +41,7 @@ from __future__ import annotations
 import asyncio
 import logging
 
-from repro.obs import NULL_REGISTRY, MetricsRegistry, now_ns
+from repro.obs import MetricsRegistry, now_ns
 
 __all__ = ["ConnectionPool", "PooledConnection"]
 
@@ -83,20 +89,15 @@ class ConnectionPool:
         self._idle: list[PooledConnection] = []
         self._slots = asyncio.Semaphore(size) if size > 0 else None
         self._closed = False
-        #: Monitoring counters: fresh connects, idle-list checkouts,
-        #: unhealthy streams dropped at checkout, idle streams reaped.
-        self.opened = 0
-        self.reused = 0
-        self.evicted = 0
-        self.reaped = 0
-        # The same four, mirrored into the obs registry with a per-peer
-        # label (a registry-less pool records into the shared no-op one).
-        obs = registry if registry is not None else NULL_REGISTRY
+        #: Where the pool counts fresh connects, idle-list checkouts,
+        #: unhealthy streams dropped at checkout and idle streams reaped,
+        #: per peer.  The owning client's registry outlives the pool.
+        self.obs = registry if registry is not None else MetricsRegistry()
         peer = f"{host}:{port}"
-        self._m_opened = obs.counter("pool.connections_opened_total", peer=peer)
-        self._m_reused = obs.counter("pool.connections_reused_total", peer=peer)
-        self._m_evicted = obs.counter("pool.connections_evicted_total", peer=peer)
-        self._m_reaped = obs.counter("pool.connections_reaped_total", peer=peer)
+        self._m_opened = self.obs.counter("pool.connections_opened_total", peer=peer)
+        self._m_reused = self.obs.counter("pool.connections_reused_total", peer=peer)
+        self._m_evicted = self.obs.counter("pool.connections_evicted_total", peer=peer)
+        self._m_reaped = self.obs.counter("pool.connections_reaped_total", peer=peer)
 
     @property
     def pooling(self) -> bool:
@@ -105,7 +106,7 @@ class ConnectionPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ConnectionPool({self.host}:{self.port}, size={self.size}, "
-            f"idle={len(self._idle)}, opened={self.opened}, reused={self.reused})"
+            f"idle={len(self._idle)})"
         )
 
     # ------------------------------------------------------------------
@@ -128,10 +129,8 @@ class ConnectionPool:
                     conn = self._idle.pop()
                     if conn.healthy():
                         conn.reused = True
-                        self.reused += 1
                         self._m_reused.inc()
                         return conn
-                    self.evicted += 1
                     self._m_evicted.inc()
                     self._abort(conn)
             reader, writer = await asyncio.wait_for(
@@ -145,7 +144,6 @@ class ConnectionPool:
             # nothing about the stream.
             conn = PooledConnection(reader, writer)
             try:
-                self.opened += 1
                 self._m_opened.inc()
             except BaseException:
                 writer.close()
@@ -189,7 +187,6 @@ class ConnectionPool:
         if stale:
             self._idle = [conn for conn in self._idle if conn not in stale]
             for conn in stale:
-                self.reaped += 1
                 self._m_reaped.inc()
                 self._abort(conn)
         return len(stale)

@@ -136,19 +136,12 @@ class PeerDaemon:
         # Request handlers do real blocking work (fsync'd writes, GF row
         # combines, digest checks); they run on this single dispatch
         # thread so the event loop keeps serving other connections.  One
-        # worker, because the blockstore, the rng, and the per-request
-        # bookkeeping dicts are only safe under serialized dispatch.
+        # worker, because the blockstore, the rng, and the per-opcode
+        # instruments are only safe under serialized dispatch.
         self._dispatch_pool: concurrent.futures.ThreadPoolExecutor | None = None
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
-        #: Requests served since start, by message type name (monitoring).
-        self.requests_served: dict[str, int] = {}
-        #: Faults this daemon applied, by kind value (monitoring).
-        self.faults_applied: dict[str, int] = {}
-        #: Connections accepted since start (monitoring; a pooled client
-        #: should keep this far below its request count).
-        self.connections_accepted = 0
         self.obs = registry if registry is not None else MetricsRegistry()
         if self.store.obs is None:
             self.store.obs = self.obs
@@ -252,9 +245,7 @@ class PeerDaemon:
             scope=self.fault_scope,
         )
         if event is not None:
-            kind = event.kind.value
-            self.faults_applied[kind] = self.faults_applied.get(kind, 0) + 1
-            self.obs.counter("daemon.faults_total", kind=kind).inc()
+            self.obs.counter("daemon.faults_total", kind=event.kind.value).inc()
         return event
 
     async def _handle_connection(
@@ -266,7 +257,6 @@ class PeerDaemon:
         if task is not None:
             self._handlers.add(task)
         self._connections.add(writer)
-        self.connections_accepted += 1
         self._connections_total.inc()
         self._connections_open.inc()
         try:
@@ -362,11 +352,6 @@ class PeerDaemon:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
-    def _count(self, request: Message) -> None:
-        name = type(request).__name__
-        self.requests_served[name] = self.requests_served.get(name, 0) + 1
-        self._instruments(request)[0].inc()
-
     def _instruments(self, request: Message) -> tuple:
         """The per-opcode (requests counter, handler histogram) pair."""
         key = type(request).__name__
@@ -394,7 +379,7 @@ class PeerDaemon:
         return response
 
     def _dispatch(self, request: Message) -> Message:
-        self._count(request)
+        self._instruments(request)[0].inc()
         try:
             if isinstance(request, Ping):
                 return Ok()

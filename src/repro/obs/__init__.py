@@ -1,7 +1,7 @@
 """repro.obs: metrics + span tracing for the live net stack.
 
 See ``docs/OBSERVABILITY.md``.  The registry and span API are
-dependency-free and event-loop-local; snapshots are versioned JSON
+dependency-free and lock-free; snapshots are versioned JSON
 (``repro-obs-snapshot-v1``) and merge associatively.  ``REPRO_OBS=off``
 turns the whole layer into shared no-ops.
 """

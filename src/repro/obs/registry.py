@@ -9,13 +9,17 @@ A :class:`MetricsRegistry` holds three instrument kinds:
 - **histograms** -- fixed-bucket distributions with conserved bucket
   counts, built for nanosecond latencies (``perf_counter_ns``).
 
-Everything is lock-free *within one event loop*: instruments are plain
-attribute updates on the loop thread, never shared across threads.  The
-registry serializes to a versioned JSON snapshot
-(``repro-obs-snapshot-v1``) whose merge is associative -- counters and
-bucket counts add, mins/maxes combine, percentiles are recomputed from
-the merged buckets -- so per-daemon snapshots can be rolled up in any
-grouping order.
+Instruments are plain attribute updates, without a lock, and each has
+one writing thread.  That is usually the event loop's, but a daemon's
+single dispatch thread updates ``daemon.requests_total``,
+``daemon.handler_ns`` and the ``store.*`` instruments while the loop may
+be taking a snapshot.  The snapshot reads each histogram's buckets once
+and derives the count and the percentiles from that copy, so it
+conserves buckets even then (see :class:`Histogram`).  The registry
+serializes to a versioned JSON snapshot (``repro-obs-snapshot-v1``)
+whose merge is associative -- counters and bucket counts add,
+mins/maxes combine, percentiles are recomputed from the merged buckets
+-- so per-daemon snapshots can be rolled up in any grouping order.
 
 The ``REPRO_OBS=off`` kill switch is read once, when a registry is
 constructed.  A disabled registry hands out shared no-op instruments
@@ -141,27 +145,27 @@ class Gauge:
 
 
 class Histogram:
-    """Fixed upper-bound buckets plus exact count/sum/min/max.
+    """Fixed upper-bound buckets plus exact sum/min/max.
 
     ``counts[i]`` holds observations ``<= bounds[i]``; the final slot is
-    the overflow bucket, so ``len(counts) == len(bounds) + 1`` and
-    ``sum(counts) == count`` always (the conservation law the property
-    tests assert).
+    the overflow bucket, so ``len(counts) == len(bounds) + 1``.  The
+    number of observations is ``sum(counts)``: a snapshot sums the same
+    copy of ``counts`` it reports, so its ``count`` conserves buckets
+    even while another thread observes.  ``sum``, ``min`` and ``max`` are
+    read after that copy and can lead it by that thread's observation.
     """
 
-    __slots__ = ("bounds", "counts", "count", "sum", "min", "max")
+    __slots__ = ("bounds", "counts", "sum", "min", "max")
 
     def __init__(self, bounds: tuple[int, ...]) -> None:
         self.bounds = bounds
         self.counts = [0] * (len(bounds) + 1)
-        self.count = 0
         self.sum = 0
         self.min: int | None = None
         self.max: int | None = None
 
     def observe(self, value) -> None:
         self.counts[bisect_left(self.bounds, value)] += 1
-        self.count += 1
         self.sum += value
         if self.min is None or value < self.min:
             self.min = value
@@ -170,7 +174,7 @@ class Histogram:
 
     def quantile(self, q: float) -> float | None:
         return histogram_quantile(
-            self.bounds, self.counts, self.count, self.min, self.max, q
+            self.bounds, self.counts, sum(self.counts), self.min, self.max, q
         )
 
 
@@ -230,7 +234,6 @@ class _NullGauge:
 class _NullHistogram:
     __slots__ = ()
     bounds: tuple[int, ...] = ()
-    count = 0
     sum = 0
     min = None
     max = None
@@ -352,18 +355,22 @@ class MetricsRegistry:
 
 
 def _histogram_entry(name: str, labels: dict, histogram) -> dict:
+    # One copy of the buckets feeds the count and every percentile.
+    counts = list(histogram.counts)
     entry = {
         "name": name,
         "labels": labels,
         "buckets": list(histogram.bounds),
-        "counts": list(histogram.counts),
-        "count": histogram.count,
+        "counts": counts,
+        "count": sum(counts),
         "sum": histogram.sum,
         "min": histogram.min,
         "max": histogram.max,
     }
     for label, q in _QUANTILES:
-        entry[f"p{label}"] = histogram.quantile(q)
+        entry[f"p{label}"] = histogram_quantile(
+            histogram.bounds, counts, entry["count"], entry["min"], entry["max"], q
+        )
     return entry
 
 

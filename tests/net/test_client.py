@@ -13,6 +13,7 @@ from repro.net.protocol import (
     encode_message,
     read_message,
 )
+from tests.net import counted
 
 
 class FlakyServer:
@@ -76,7 +77,7 @@ class TestRetry:
                     retry=RetryPolicy(retries=3, backoff=0.01),
                 )
                 assert await client.ping() is True
-                return client.transport_failures, server.connections
+                return counted(client, "client.failures_total"), server.connections
 
         failures, connections = run(scenario())
         assert failures == 2
@@ -106,7 +107,7 @@ class TestRetry:
                     retry=RetryPolicy(retries=2, backoff=0.01),
                 )
                 assert await client.ping() is True
-                return client.transport_failures
+                return counted(client, "client.failures_total")
 
         assert run(scenario()) == 1
 

@@ -13,10 +13,10 @@ from repro.core.serialization import (
     piece_to_bytes,
 )
 from repro.net.blockstore import BlockStore
-from repro.net.client import PeerClient, RetryPolicy
 from repro.net.errors import RemoteError
 from repro.net.protocol import ErrorCode
 from repro.net.server import PeerDaemon
+from tests.net import counted, with_daemon
 
 PARAMS = RCParams(4, 4, 6, 2)
 
@@ -31,35 +31,12 @@ def encoded(code, sample_data):
     return code.insert(sample_data)
 
 
-def with_daemon(tmp_path, scenario, client_kwargs=None, **daemon_kwargs):
-    """Run ``scenario(daemon, client)`` against a live daemon."""
-
-    async def runner():
-        daemon = PeerDaemon(
-            BlockStore(tmp_path / "store"),
-            rng=np.random.default_rng(42),
-            **daemon_kwargs,
-        )
-        await daemon.start()
-        client = PeerClient(
-            *daemon.address,
-            retry=RetryPolicy(retries=1, backoff=0.01),
-            **(client_kwargs or {}),
-        )
-        try:
-            return await scenario(daemon, client)
-        finally:
-            await client.aclose()
-            await daemon.stop()
-
-    return asyncio.run(runner())
-
-
 class TestRequests:
     def test_ping(self, tmp_path):
         async def scenario(daemon, client):
             assert await client.ping() is True
-            assert daemon.requests_served == {"Ping": 1}
+            assert counted(daemon, "daemon.requests_total", op="ping") == 1
+            assert counted(daemon, "daemon.requests_total") == 1
 
         with_daemon(tmp_path, scenario)
 
@@ -232,8 +209,8 @@ class TestPersistentConnections:
             await client.store_piece("f/0", blob)
             for _ in range(5):
                 assert await client.get_piece("f/0") == blob
-            assert daemon.connections_accepted == 1
-            assert sum(daemon.requests_served.values()) == 6
+            assert counted(daemon, "daemon.connections_total") == 1
+            assert counted(daemon, "daemon.requests_total") == 6
 
         with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 2})
 
@@ -245,10 +222,10 @@ class TestPersistentConnections:
             assert await client.ping() is True
             await asyncio.sleep(0.3)  # exceed the daemon's idle window
             assert await client.ping() is True
-            assert daemon.connections_accepted == 2
+            assert counted(daemon, "daemon.connections_total") == 2
             # Recovery was invisible: eviction at checkout or a
             # transparent reconnect, never a spent retry.
-            assert client.transport_failures == 0
+            assert counted(client, "client.failures_total") == 0
 
         with_daemon(
             tmp_path,

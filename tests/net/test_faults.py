@@ -19,6 +19,7 @@ from repro.net.protocol import (
     operation_name,
 )
 from repro.net.server import PeerDaemon
+from tests.net import counted
 
 
 def run(coro):
@@ -229,13 +230,17 @@ class TestDaemonWiring:
             try:
                 client = self.client(daemon)
                 assert await client.ping() is True
-                return client.transport_failures, daemon.faults_applied
+                return (
+                    counted(client, "client.failures_total"),
+                    counted(daemon, "daemon.faults_total"),
+                    counted(daemon, "daemon.faults_total", kind="drop"),
+                )
             finally:
                 await daemon.stop()
 
-        failures, applied = run(scenario())
+        failures, applied, dropped = run(scenario())
         assert failures == 1
-        assert applied == {"drop": 1}
+        assert applied == dropped == 1
 
     def test_delay_trips_read_timeout(self, tmp_path):
         async def scenario():
@@ -260,7 +265,7 @@ class TestDaemonWiring:
             try:
                 client = self.client(daemon)
                 assert await client.ping() is True
-                return client.transport_failures
+                return counted(client, "client.failures_total")
             finally:
                 await daemon.stop()
 
@@ -334,7 +339,7 @@ class TestClientWiring:
                     fault_plan=plan,
                 )
                 assert await client.ping() is True
-                return client.transport_failures, plan.history()
+                return counted(client, "client.failures_total"), plan.history()
             finally:
                 await daemon.stop()
 

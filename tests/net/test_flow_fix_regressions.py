@@ -24,6 +24,7 @@ from repro.net.client import PeerClient, RetryPolicy
 from repro.net.pool import ConnectionPool
 from repro.net.protocol import Ping
 from repro.net.server import PeerDaemon
+from tests.net import counted
 
 
 async def _started_daemon(tmp_path, name="store"):
@@ -75,7 +76,7 @@ class TestPoolAcquireHandoff:
             pool = ConnectionPool(*daemon.address, size=2)
             try:
                 conn = await pool.acquire()
-                assert pool.opened == 1
+                assert counted(pool, "pool.connections_opened_total") == 1
                 pool.release(conn)
             finally:
                 await pool.aclose()

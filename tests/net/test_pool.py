@@ -18,30 +18,12 @@ from repro.net.client import PeerClient, RetryPolicy, default_pool_size
 from repro.net.faults import FaultPlan, FaultRule
 from repro.net.pool import ConnectionPool
 from repro.net.server import PeerDaemon
+from tests.net import counted, with_daemon
 
 
-def with_daemon(tmp_path, scenario, client_kwargs=None, **daemon_kwargs):
-    """Run ``scenario(daemon, client)`` against a live daemon."""
-
-    async def runner():
-        daemon = PeerDaemon(
-            BlockStore(tmp_path / "store"),
-            rng=np.random.default_rng(42),
-            **daemon_kwargs,
-        )
-        await daemon.start()
-        client = PeerClient(
-            *daemon.address,
-            retry=RetryPolicy(retries=2, backoff=0.01, jitter=0.0),
-            **(client_kwargs or {}),
-        )
-        try:
-            return await scenario(daemon, client)
-        finally:
-            await client.aclose()
-            await daemon.stop()
-
-    return asyncio.run(runner())
+def pooled(**client_kwargs):
+    """Client options for this file: two retries on a fixed schedule."""
+    return {"retry": RetryPolicy(retries=2, backoff=0.01, jitter=0.0), **client_kwargs}
 
 
 class TestReuse:
@@ -49,11 +31,11 @@ class TestReuse:
         async def scenario(daemon, client):
             for _ in range(6):
                 assert await client.ping() is True
-            assert daemon.connections_accepted == 1
-            assert client.pool.opened == 1
-            assert client.pool.reused == 5
+            assert counted(daemon, "daemon.connections_total") == 1
+            assert counted(client, "pool.connections_opened_total") == 1
+            assert counted(client, "pool.connections_reused_total") == 5
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 4})
+        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
 
     def test_pool_size_zero_dials_per_request(self, tmp_path):
         """The fresh-connection fallback is exactly the old transport."""
@@ -61,20 +43,20 @@ class TestReuse:
         async def scenario(daemon, client):
             for _ in range(4):
                 assert await client.ping() is True
-            assert daemon.connections_accepted == 4
-            assert client.pool.opened == 4
-            assert client.pool.reused == 0
+            assert counted(daemon, "daemon.connections_total") == 4
+            assert counted(client, "pool.connections_opened_total") == 4
+            assert counted(client, "pool.connections_reused_total") == 0
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 0})
+        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=0))
 
     def test_concurrent_requests_bounded_by_pool_size(self, tmp_path):
         async def scenario(daemon, client):
             results = await asyncio.gather(*(client.ping() for _ in range(12)))
             assert all(results)
-            assert daemon.connections_accepted <= 2
-            assert client.pool.opened <= 2
+            assert counted(daemon, "daemon.connections_total") <= 2
+            assert counted(client, "pool.connections_opened_total") <= 2
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 2})
+        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=2))
 
     def test_client_survives_reuse_across_event_loops(self, tmp_path):
         """A client reused after ``asyncio.run`` rebuilds its pool on the
@@ -129,10 +111,14 @@ class TestBrokenStreams:
                 writer.close()
             await asyncio.sleep(0.05)
             assert await client.ping() is True
-            assert client.transport_failures == 0
-            assert client.pool.evicted + client.pool_reconnects >= 1
+            assert counted(client, "client.failures_total") == 0
+            assert (
+                counted(client, "pool.connections_evicted_total")
+                + counted(client, "client.reconnects_total")
+                >= 1
+            )
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 4})
+        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
 
     def test_aclose_then_reuse_degrades_to_fresh(self, tmp_path):
         async def scenario(daemon, client):
@@ -141,7 +127,7 @@ class TestBrokenStreams:
             assert client.pool is None
             assert await client.ping() is True  # rebuilt lazily
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 4})
+        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
 
 
 class TestIdleReaping:
@@ -150,13 +136,13 @@ class TestIdleReaping:
             assert await client.ping() is True
             await asyncio.sleep(0.15)
             assert await client.ping() is True
-            assert client.pool.reaped == 1
-            assert client.pool.opened == 2
+            assert counted(client, "pool.connections_reaped_total") == 1
+            assert counted(client, "pool.connections_opened_total") == 2
 
         with_daemon(
             tmp_path,
             scenario,
-            client_kwargs={"pool_size": 4, "pool_idle_timeout": 0.05},
+            client_kwargs=pooled(pool_size=4, pool_idle_timeout=0.05),
         )
 
 
@@ -175,17 +161,17 @@ class TestFaultInteraction:
 
         async def scenario(daemon, client):
             assert await client.ping() is True  # fault absorbed by retry
-            assert client.transport_failures == 1
-            poisoned_generation = daemon.connections_accepted
+            assert counted(client, "client.failures_total") == 1
+            poisoned_generation = counted(daemon, "daemon.connections_total")
             assert poisoned_generation == 2  # cut stream + its replacement
             assert await client.ping() is True
             # The replacement stream is healthy and was reused.
-            assert daemon.connections_accepted == poisoned_generation
+            assert counted(daemon, "daemon.connections_total") == poisoned_generation
 
         with_daemon(
             tmp_path,
             scenario,
-            client_kwargs={"pool_size": 4, "fault_plan": plan},
+            client_kwargs=pooled(pool_size=4, fault_plan=plan),
         )
 
 
@@ -202,7 +188,8 @@ class TestPoolPrimitive:
             second = await pool.acquire()
             assert second is first  # LIFO reuse
             pool.release(second, discard=True)
-            assert pool.evicted == 0 and pool.opened == 1
+            assert counted(pool, "pool.connections_evicted_total") == 0
+            assert counted(pool, "pool.connections_opened_total") == 1
             await pool.aclose()
 
         with_daemon(tmp_path, scenario)

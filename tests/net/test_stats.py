@@ -19,7 +19,7 @@ from repro.core.params import RCParams
 from repro.net import Coordinator, LocalCluster, RetryPolicy
 from repro.net.blockstore import BlockStore
 from repro.net.client import PeerClient
-from repro.net.errors import ProtocolError
+from repro.net.errors import InsufficientPeersError, ProtocolError
 from repro.net.protocol import (
     GetStats,
     StatsData,
@@ -29,6 +29,7 @@ from repro.net.protocol import (
 )
 from repro.net.server import PeerDaemon
 from repro.obs import SNAPSHOT_FORMAT, MetricsRegistry, validate_snapshot
+from tests.net import counted, with_daemon
 
 PARAMS = RCParams(4, 4, 6, 2)
 
@@ -71,28 +72,6 @@ class TestStatsWireFormat:
 
 
 # ---------------------------------------------------------------- daemon e2e
-
-
-def with_daemon(tmp_path, scenario, client_kwargs=None, **daemon_kwargs):
-    async def runner():
-        daemon = PeerDaemon(
-            BlockStore(tmp_path / "store"),
-            rng=np.random.default_rng(42),
-            **daemon_kwargs,
-        )
-        await daemon.start()
-        client = PeerClient(
-            *daemon.address,
-            retry=RetryPolicy(retries=1, backoff=0.01),
-            **(client_kwargs or {}),
-        )
-        try:
-            return await scenario(daemon, client)
-        finally:
-            await client.aclose()
-            await daemon.stop()
-
-    return asyncio.run(runner())
 
 
 class TestDaemonStats:
@@ -193,7 +172,7 @@ class TestTransportStatsSurviveAclose:
                 await coordinator.aclose()
                 after = coordinator.transport_stats()
                 # And an aclose on an already-closed coordinator must not
-                # double-count the folded totals.
+                # double-count the totals.
                 await coordinator.aclose()
                 return before, after, coordinator.transport_stats()
 
@@ -247,7 +226,7 @@ class TestPoolCountersSurviveRebuild:
             await daemon.start()
             try:
                 assert await client.ping() is True
-                return client.connections_opened
+                return counted(client, "pool.connections_opened_total")
             finally:
                 if close_client:
                     await client.aclose()
@@ -260,15 +239,21 @@ class TestPoolCountersSurviveRebuild:
         assert first >= 1
         second = asyncio.run(one_session(2, close_client=True))
         assert second >= first + 1
-        assert client.connections_opened == second
+        assert counted(client, "pool.connections_opened_total") == second
 
     def test_reused_survives_aclose(self, tmp_path):
         async def scenario(daemon, client):
             await client.ping()
             await client.ping()  # second ride on the pooled stream
-            opened, reused = client.connections_opened, client.connections_reused
+            opened = counted(client, "pool.connections_opened_total")
+            reused = counted(client, "pool.connections_reused_total")
             await client.aclose()
-            return opened, reused, client.connections_opened, client.connections_reused
+            return (
+                opened,
+                reused,
+                counted(client, "pool.connections_opened_total"),
+                counted(client, "pool.connections_reused_total"),
+            )
 
         # Pin the pool size: the CI matrix sets REPRO_NET_POOL_SIZE=0,
         # which would make reuse impossible and void the regression.
@@ -327,3 +312,65 @@ class TestCoordinatorPercentiles:
         # Span phases rode along: insert and reconstruct sub-steps.
         span_names = {name for (name, _) in histograms}
         assert {"span.insert.encode", "span.reconstruct.decode"} <= span_names
+
+
+class TestCoordinatorOperations:
+    def test_failed_op_counts_its_error_and_records_no_latency(self, tmp_path):
+        async def scenario():
+            async with LocalCluster(4, tmp_path, seed=4) as cluster:
+                coordinator = Coordinator(
+                    PARAMS,
+                    rng=np.random.default_rng(17),
+                    retry=RetryPolicy(retries=1, backoff=0.01),
+                    registry=MetricsRegistry(enabled=True),
+                )
+                async with coordinator:
+                    with pytest.raises(InsufficientPeersError):
+                        await coordinator.insert(payload(2_000), [], file_id="f")
+                    failed = coordinator.metrics_snapshot()
+                    await coordinator.insert(
+                        payload(2_000), cluster.addresses, file_id="f"
+                    )
+                    return failed, coordinator.metrics_snapshot()
+
+        def op_samples(snapshot):
+            return sum(
+                entry["count"]
+                for entry in snapshot["histograms"]
+                if entry["name"] == "coordinator.op_ns"
+            )
+
+        failed, succeeded = asyncio.run(scenario())
+        errors = [
+            (entry["labels"], entry["value"])
+            for entry in failed["counters"]
+            if entry["name"] == "coordinator.errors_total"
+        ]
+        assert errors == [({"error": "InsufficientPeersError", "op": "insert"}, 1)]
+        assert op_samples(failed) == 0
+        assert op_samples(succeeded) == 1
+
+    def test_transport_stats_read_zero_with_obs_off(self, tmp_path):
+        """``REPRO_OBS=off`` records nothing, transport counts included:
+        the four keys stay, at zero."""
+
+        async def scenario():
+            async with LocalCluster(4, tmp_path, seed=6) as cluster:
+                coordinator = Coordinator(
+                    PARAMS,
+                    rng=np.random.default_rng(19),
+                    retry=RetryPolicy(retries=1, backoff=0.01),
+                    registry=MetricsRegistry(enabled=False),
+                )
+                async with coordinator:
+                    await coordinator.insert(
+                        payload(2_000), cluster.addresses, file_id="f"
+                    )
+                    return coordinator.transport_stats()
+
+        assert asyncio.run(scenario()) == {
+            "connections_opened": 0,
+            "connections_reused": 0,
+            "pool_reconnects": 0,
+            "transport_failures": 0,
+        }

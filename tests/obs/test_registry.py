@@ -57,12 +57,30 @@ def test_histogram_conserves_bucket_counts(registry):
     histogram = registry.histogram("daemon.handler_ns")
     for value in (500, 1000, 1001, 10**7, 10**11):
         histogram.observe(value)
-    assert histogram.count == 5
-    assert sum(histogram.counts) == histogram.count
+    assert sum(histogram.counts) == 5
     assert histogram.min == 500
     assert histogram.max == 10**11
     # The last observation exceeds every bound: overflow bucket.
     assert histogram.counts[-1] == 1
+
+
+def test_snapshot_conserves_buckets_while_another_thread_observes(registry):
+    """A daemon's dispatch thread may observe while the loop snapshots.
+
+    The ``counts`` stand-in finishes its copy with one more observation,
+    as that thread would: the snapshot must still add up.
+    """
+    histogram = registry.histogram("daemon.handler_ns", op="ping")
+    histogram.observe(1_000)
+
+    class ObservedDuringCopy(list):
+        def __iter__(self):
+            yield from list.__iter__(self)
+            histogram.observe(2_000)
+
+    histogram.counts = ObservedDuringCopy(histogram.counts)
+    (entry,) = validate_snapshot(registry.snapshot())["histograms"]
+    assert entry["count"] == sum(entry["counts"]) == 1
 
 
 def test_histogram_percentiles_interpolate_and_clamp(registry):
