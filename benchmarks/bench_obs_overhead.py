@@ -4,11 +4,13 @@ Drives the same storm of small piece-level operations (store then fetch
 of a ~1 KiB blob, round-robin over a localhost cluster -- the regime
 where per-request bookkeeping is the largest share of the work) with the
 coordinator's metrics registry disabled and enabled, and reports the
-throughput ratio.  Exits nonzero when instrumentation costs more than
-``--obs-threshold`` allows (default: on must stay >= 0.9x of off)::
+throughput ratio: the median over interleaved off/on rounds of each
+round's off/on time ratio.  Exits nonzero when instrumentation costs
+more than ``--obs-threshold`` allows (default: on must stay >= 0.9x of
+off)::
 
     PYTHONPATH=src python benchmarks/bench_obs_overhead.py \\
-        --ops 200 --rounds 5 --json obs-overhead.json
+        --ops 200 --rounds 21 --json obs-overhead.json
 
 Where the time of a whole insert/repair/reconstruct goes is the e2e
 ledger's job (``benchmarks/e2e/README.md``), not this script's.
@@ -17,6 +19,7 @@ ledger's job (``benchmarks/e2e/README.md``), not this script's.
 import argparse
 import asyncio
 import json
+import statistics
 import tempfile
 from pathlib import Path
 
@@ -88,27 +91,33 @@ def main(argv=None) -> None:
                         help="write the comparison record to FILE")
     parser.add_argument("--ops", type=int, default=STORM_OPS)
     parser.add_argument("--rounds", type=int, default=3,
-                        help="rounds per mode; the fastest one is reported")
+                        help="interleaved off/on rounds; the median round ratio is reported")
     parser.add_argument("--obs-threshold", type=float, default=0.9,
                         help="minimum acceptable on/off throughput ratio")
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory(prefix="bench_obs_overhead_") as scratch:
         root = Path(scratch)
-        # Warm-up absorbs interpreter/import costs; then the best of
-        # ``rounds`` interleaved runs per mode filters scheduler noise.
+        # Warm-up absorbs interpreter/import costs.  Each round runs off
+        # then on back to back, so both see the same machine state; the
+        # median of the per-round ratios discards the rounds a scheduler
+        # hiccup or speed-mode change landed in, where a best-per-mode
+        # estimator pairs two rounds from different moments.
         asyncio.run(_storm(root / "warmup", ops=10, obs_enabled=False))
-        best: dict[str, dict] = {}
+        runs: dict[str, list[dict]] = {"off": [], "on": []}
         for number in range(args.rounds):
             for mode in ("off", "on"):
-                run = asyncio.run(
+                runs[mode].append(asyncio.run(
                     _storm(root / f"{mode}{number}", args.ops, obs_enabled=mode == "on")
-                )
-                if mode not in best or run["seconds"] < best[mode]["seconds"]:
-                    best[mode] = run
-    off, on = best["off"], best["on"]
-
-    ratio = on["ops_per_second"] / off["ops_per_second"]
+                ))
+    round_ratios = [
+        off["seconds"] / on["seconds"] for off, on in zip(runs["off"], runs["on"])
+    ]
+    # median_high is always one round's ratio (the median for odd counts);
+    # that round stands for both modes in the record and the table.
+    ratio = statistics.median_high(round_ratios)
+    median_round = round_ratios.index(ratio)
+    off, on = runs["off"][median_round], runs["on"][median_round]
     record = {
         "bench": "net_obs_overhead",
         "peers": STORM_PEERS,
@@ -116,6 +125,8 @@ def main(argv=None) -> None:
         "operations": args.ops,
         "obs_off": off,
         "obs_on": on,
+        "rounds": args.rounds,
+        "round_ratios": [round(value, 3) for value in round_ratios],
         "ratio": round(ratio, 3),
         "threshold": args.obs_threshold,
     }
@@ -125,7 +136,7 @@ def main(argv=None) -> None:
         for mode, run in (("obs off", off), ("obs on", on))
     ]
     print(f"\nObs overhead, {args.ops} ops of {STORM_FILE_BYTES} byte pieces "
-          f"(localhost TCP, pooled)")
+          f"(localhost TCP, pooled; median of {args.rounds} rounds)")
     print(render_table(["mode", "ops/s", "ms"], rows))
     print(f"on/off throughput ratio: {ratio:.3f} (threshold {args.obs_threshold})")
     if args.json is not None:

@@ -21,6 +21,10 @@ import abc
 import dataclasses
 from typing import Any, Mapping
 
+import numpy as np
+
+from repro.gf.field import GaloisField
+
 __all__ = [
     "Block",
     "EncodedObject",
@@ -28,6 +32,7 @@ __all__ = [
     "RepairOutcome",
     "RepairError",
     "ReconstructError",
+    "pad_to_matrix",
 ]
 
 
@@ -191,3 +196,12 @@ class RedundancyScheme(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def pad_to_matrix(field: GaloisField, data: bytes, rows: int) -> np.ndarray:
+    """Zero-pad the file and reshape it into the (rows, L) element matrix
+    of stripes that a linear scheme multiplies (L >= 1)."""
+    stride = rows * field.element_size
+    padded_size = max(len(data) + (-len(data)) % stride, stride)
+    padded = data + b"\x00" * (padded_size - len(data))
+    return field.bytes_to_elements(padded).reshape(rows, -1)

@@ -14,8 +14,9 @@ group's fragments) and the system additionally stores *global* pieces
   reconstruct the file** -- e.g. more than k0 + local redundancy pieces
   drawn from one group are necessarily dependent.
 
-This two-level construction is the smallest hierarchy exhibiting both
-properties; it is what the comparison benchmarks exercise.
+One implementation, :class:`TreeHierarchicalCodeScheme`, nests groups to
+any depth; :class:`HierarchicalCodeScheme` is its one-level tree, the
+two-level code above, and adds only the group vocabulary.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.codes.base import (
     RedundancyScheme,
     RepairError,
     RepairOutcome,
+    pad_to_matrix,
 )
 from repro.gf import linalg
 from repro.gf.field import GF, GaloisField
@@ -43,252 +45,12 @@ __all__ = ["HierarchicalCodeScheme", "HierarchicalPiece", "TreeHierarchicalCodeS
 class HierarchicalPiece:
     """One coded piece: a coefficient row over all k fragments plus data.
 
-    ``group`` is the owning group for local pieces and ``None`` for
-    global pieces; local rows are zero outside their group's columns.
+    The row is zero outside the fragment range of the tree node that
+    owns the piece.
     """
 
     coefficients: np.ndarray
     data: np.ndarray
-    group: int | None
-
-
-class HierarchicalCodeScheme(RedundancyScheme):
-    """A two-level hierarchical code.
-
-    Parameters
-    ----------
-    k:
-        Fragments the file is split into (reconstruction needs rank k).
-    groups:
-        Number of equal groups; must divide k.
-    local_redundancy:
-        Extra local pieces per group beyond the k0 needed locally.
-    global_pieces:
-        Pieces combining all fragments (protect against whole-group loss).
-    """
-
-    name = "hierarchical"
-
-    def __init__(
-        self,
-        k: int,
-        groups: int,
-        local_redundancy: int,
-        global_pieces: int,
-        field: GaloisField | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        if k < 1 or groups < 1 or k % groups:
-            raise ValueError(f"groups={groups} must divide k={k}")
-        if local_redundancy < 0 or global_pieces < 0:
-            raise ValueError("redundancy counts must be non-negative")
-        self.k = k
-        self.groups = groups
-        self.group_size = k // groups
-        self.local_redundancy = local_redundancy
-        self.global_pieces = global_pieces
-        self.field = field if field is not None else GF(16)
-        self.rng = rng if rng is not None else np.random.default_rng()
-        self.name = (
-            f"hierarchical(k={k},G={groups},"
-            f"local+{local_redundancy},global={global_pieces})"
-        )
-
-    @property
-    def pieces_per_group(self) -> int:
-        return self.group_size + self.local_redundancy
-
-    @property
-    def total_blocks(self) -> int:
-        return self.groups * self.pieces_per_group + self.global_pieces
-
-    @property
-    def reconstruction_degree(self) -> int:
-        """Worst-case pieces needed: k plus whatever dependence can waste.
-
-        Any k *well-spread* pieces suffice w.h.p., but adversarial subsets
-        of this size may not (the scheme's documented drawback); callers
-        should treat this as the typical, not guaranteed, threshold.
-        """
-        return self.k
-
-    def group_of(self, index: int) -> int | None:
-        """Owning group of a block index, or None for global pieces."""
-        if not 0 <= index < self.total_blocks:
-            raise ValueError(f"no block slot {index}")
-        local_count = self.groups * self.pieces_per_group
-        return index // self.pieces_per_group if index < local_count else None
-
-    def _group_columns(self, group: int) -> slice:
-        return slice(group * self.group_size, (group + 1) * self.group_size)
-
-    # ------------------------------------------------------------------
-    # life cycle
-    # ------------------------------------------------------------------
-
-    def _pad_to_matrix(self, data: bytes) -> np.ndarray:
-        stride = self.k * self.field.element_size
-        padded_size = max(len(data) + (-len(data)) % stride, stride)
-        padded = data + b"\x00" * (padded_size - len(data))
-        return self.field.bytes_to_elements(padded).reshape(self.k, -1)
-
-    def _local_row(self, group: int, rng: np.random.Generator) -> np.ndarray:
-        row = self.field.zeros(self.k)
-        row[self._group_columns(group)] = self.field.random(self.group_size, rng)
-        return row
-
-    def _make_piece(
-        self, row: np.ndarray, fragments: np.ndarray, group: int | None
-    ) -> HierarchicalPiece:
-        data = linalg.gf_matvec(self.field, fragments.T, row)
-        return HierarchicalPiece(coefficients=row, data=data, group=group)
-
-    def _block(self, index: int, piece: HierarchicalPiece) -> Block:
-        payload = (piece.data.size + piece.coefficients.size) * self.field.element_size
-        return Block(index=index, content=piece, payload_bytes=payload)
-
-    def encode(self, data: bytes) -> EncodedObject:
-        fragments = self._pad_to_matrix(data)
-        blocks = []
-        index = 0
-        for group in range(self.groups):
-            for _ in range(self.pieces_per_group):
-                row = self._local_row(group, self.rng)
-                blocks.append(self._block(index, self._make_piece(row, fragments, group)))
-                index += 1
-        for _ in range(self.global_pieces):
-            row = self.field.random(self.k, self.rng)
-            blocks.append(self._block(index, self._make_piece(row, fragments, None)))
-            index += 1
-        return EncodedObject(
-            blocks=tuple(blocks),
-            file_size=len(data),
-            meta={"stripe_elements": fragments.shape[1]},
-        )
-
-    def reconstruct(self, encoded: EncodedObject, blocks: list[Block]) -> bytes:
-        if not blocks:
-            raise ReconstructError("no blocks supplied")
-        stacked = np.stack([block.content.coefficients for block in blocks])
-        try:
-            selected, inverse = linalg.extract_and_invert(self.field, stacked, self.k)
-        except linalg.LinAlgError as exc:
-            raise ReconstructError(
-                "blocks do not span the file (hierarchical codes lose the "
-                f"any-k property): {exc}"
-            ) from exc
-        rows = np.stack([blocks[sel].content.data for sel in selected])
-        fragments = linalg.gf_matmul(self.field, inverse, rows)
-        data = self.field.elements_to_bytes(fragments.reshape(-1))
-        return data[: encoded.file_size]
-
-    def spread_subset(self, encoded: EncodedObject) -> list[Block]:
-        """A k-block subset guaranteed to span: k0 per group, in order.
-
-        Demonstrates the flip side of the any-k loss: *well-spread*
-        subsets of exactly k pieces do reconstruct (w.h.p.).
-        """
-        chosen = []
-        for group in range(self.groups):
-            start = group * self.pieces_per_group
-            chosen.extend(encoded.blocks[start : start + self.group_size])
-        return chosen
-
-    def verify_roundtrip(self, data: bytes) -> bool:
-        """Round-trip via a spread subset; a blind prefix may be dependent."""
-        encoded = self.encode(data)
-        return self.reconstruct(encoded, self.spread_subset(encoded)) == data
-
-    # ------------------------------------------------------------------
-    # maintenance
-    # ------------------------------------------------------------------
-
-    def repair(
-        self, encoded: EncodedObject, available: Mapping[int, Block], lost_index: int
-    ) -> RepairOutcome:
-        """Local repair when the group still has k0 live pieces; else global.
-
-        The local path is the scheme's raison d'etre: repair degree k0
-        and traffic k0 * |piece| instead of k * |piece|.
-        """
-        if not 0 <= lost_index < self.total_blocks:
-            raise RepairError(f"no block slot {lost_index}")
-        group = self.group_of(lost_index)
-        survivors = {index: block for index, block in available.items() if index != lost_index}
-        if group is not None:
-            outcome = self._try_local_repair(survivors, lost_index, group)
-            if outcome is not None:
-                return outcome
-        return self._global_repair(encoded, survivors, lost_index, group)
-
-    def _try_local_repair(
-        self, survivors: Mapping[int, Block], lost_index: int, group: int
-    ) -> RepairOutcome | None:
-        peers = sorted(
-            index for index in survivors if self.group_of(index) == group
-        )
-        if len(peers) < self.group_size:
-            return None
-        stacked = np.stack(
-            [survivors[index].content.coefficients for index in peers]
-        )[:, self._group_columns(group)]
-        try:
-            selected = linalg.extract_independent_rows(self.field, stacked, self.group_size)
-        except linalg.LinAlgError:
-            return None  # dependent local pieces; fall back to global repair
-        participants = tuple(peers[sel] for sel in selected)
-        mixing = self.field.random(self.group_size, self.rng)
-        rows = np.stack([survivors[index].content.coefficients for index in participants])
-        data = np.stack([survivors[index].content.data for index in participants])
-        piece = HierarchicalPiece(
-            coefficients=self.field.linear_combination(mixing, rows),
-            data=self.field.linear_combination(mixing, data),
-            group=group,
-        )
-        uploaded = {index: survivors[index].payload_bytes for index in participants}
-        return RepairOutcome(
-            block=self._block(lost_index, piece),
-            participants=participants,
-            uploaded_per_participant=uploaded,
-        )
-
-    def _global_repair(
-        self,
-        encoded: EncodedObject,
-        survivors: Mapping[int, Block],
-        lost_index: int,
-        group: int | None,
-    ) -> RepairOutcome:
-        """Decode the full fragment space, then re-encode the lost piece."""
-        ordered = [survivors[index] for index in sorted(survivors)]
-        stacked = (
-            np.stack([block.content.coefficients for block in ordered])
-            if ordered
-            else self.field.zeros((0, self.k))
-        )
-        try:
-            selected, inverse = linalg.extract_and_invert(self.field, stacked, self.k)
-        except linalg.LinAlgError as exc:
-            raise RepairError(
-                f"global repair impossible: survivors have rank < k ({exc})"
-            ) from exc
-        participants = tuple(ordered[sel].index for sel in selected)
-        rows = np.stack([ordered[sel].content.data for sel in selected])
-        fragments = linalg.gf_matmul(self.field, inverse, rows)
-        row = (
-            self._local_row(group, self.rng)
-            if group is not None
-            else self.field.random(self.k, self.rng)
-        )
-        piece = self._make_piece(row, fragments, group)
-        uploaded = {
-            ordered[sel].index: ordered[sel].payload_bytes for sel in selected
-        }
-        return RepairOutcome(
-            block=self._block(lost_index, piece),
-            participants=participants,
-            uploaded_per_participant=uploaded,
-        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -321,8 +83,8 @@ class TreeHierarchicalCodeScheme(RedundancyScheme):
     repair degrees are far below k while deep losses degrade gracefully
     to wider (ultimately global) repairs.
 
-    The two-level :class:`HierarchicalCodeScheme` is the special case
-    ``branching=[G]`` with root parities = global pieces.
+    The two-level :class:`HierarchicalCodeScheme` is the subclass with
+    ``branching=[G]`` and root parities = global pieces.
     """
 
     name = "tree-hierarchical"
@@ -404,8 +166,8 @@ class TreeHierarchicalCodeScheme(RedundancyScheme):
 
     @property
     def reconstruction_degree(self) -> int:
-        """Typical threshold k; like all hierarchical codes, not every
-        k-subset spans (see HierarchicalCodeScheme)."""
+        """Typical threshold k: any k *well-spread* pieces suffice w.h.p.,
+        but adversarial k-subsets may not (the documented any-k loss)."""
         return self.k
 
     def node_of(self, index: int) -> _TreeNode:
@@ -417,31 +179,22 @@ class TreeHierarchicalCodeScheme(RedundancyScheme):
     # life cycle
     # ------------------------------------------------------------------
 
-    def _pad_to_matrix(self, data: bytes) -> np.ndarray:
-        stride = self.k * self.field.element_size
-        padded_size = max(len(data) + (-len(data)) % stride, stride)
-        padded = data + b"\x00" * (padded_size - len(data))
-        return self.field.bytes_to_elements(padded).reshape(self.k, -1)
-
     def _node_row(self, node: _TreeNode, rng: np.random.Generator) -> np.ndarray:
         row = self.field.zeros(self.k)
         row[node.start : node.end] = self.field.random(node.size, rng)
         return row
-
-    def _make_piece(self, row, fragments, node: _TreeNode) -> HierarchicalPiece:
-        data = linalg.gf_matvec(self.field, fragments.T, row)
-        return HierarchicalPiece(coefficients=row, data=data, group=node.depth)
 
     def _block(self, index: int, piece: HierarchicalPiece) -> Block:
         payload = (piece.data.size + piece.coefficients.size) * self.field.element_size
         return Block(index=index, content=piece, payload_bytes=payload)
 
     def encode(self, data: bytes) -> EncodedObject:
-        fragments = self._pad_to_matrix(data)
+        fragments = pad_to_matrix(self.field, data, self.k)
         blocks = []
         for index, (node, _is_data) in enumerate(self.layout):
             row = self._node_row(node, self.rng)
-            blocks.append(self._block(index, self._make_piece(row, fragments, node)))
+            data_row = linalg.gf_matvec(self.field, fragments.T, row)
+            blocks.append(self._block(index, HierarchicalPiece(row, data_row)))
         return EncodedObject(
             blocks=tuple(blocks),
             file_size=len(data),
@@ -450,11 +203,9 @@ class TreeHierarchicalCodeScheme(RedundancyScheme):
 
     def spread_subset(self, encoded: EncodedObject) -> list[Block]:
         """A spanning subset: every leaf's data pieces."""
-        chosen = []
-        for index, (node, is_data) in enumerate(self.layout):
-            if is_data:
-                chosen.append(encoded.blocks[index])
-        return chosen
+        return [
+            block for block, (_node, is_data) in zip(encoded.blocks, self.layout) if is_data
+        ]
 
     def verify_roundtrip(self, data: bytes) -> bool:
         encoded = self.encode(data)
@@ -526,59 +277,79 @@ class TreeHierarchicalCodeScheme(RedundancyScheme):
             [survivors[index].content.coefficients for index in peers]
         )[:, region.start : region.end]
         try:
-            selected = linalg.extract_independent_rows(
-                self.field, stacked, region.size
-            )
+            selected, inverse = linalg.extract_and_invert(self.field, stacked, region.size)
         except linalg.LinAlgError:
             return None
         participants = tuple(peers[sel] for sel in selected)
-        mixing = self.field.random(region.size, self.rng)
-        rows = np.stack([survivors[index].content.coefficients for index in participants])
         data = np.stack([survivors[index].content.data for index in participants])
-        combined_row = self.field.linear_combination(mixing, rows)
-        combined_data = self.field.linear_combination(mixing, data)
         # The regenerated piece must live in the *home* node's support to
         # preserve the layout; a wider-region combination generally will
-        # not, so re-encode a fresh home-local piece when region != home.
+        # not, so when region != home decode the region's fragments and
+        # mint a fresh home-local piece from them.
         if region.size == home.size and region.start == home.start:
-            piece = HierarchicalPiece(
-                coefficients=combined_row, data=combined_data, group=home.depth
-            )
+            mixing = self.field.random(region.size, self.rng)
+            rows = np.stack([survivors[index].content.coefficients for index in participants])
+            row = self.field.linear_combination(mixing, rows)
+            piece_data = self.field.linear_combination(mixing, data)
         else:
-            piece = self._reencode_home_piece(survivors, participants, home, region)
-            if piece is None:
-                return None
+            fragments = linalg.gf_matmul(self.field, inverse, data)
+            local = fragments[home.start - region.start : home.end - region.start]
+            row = self._node_row(home, self.rng)
+            piece_data = self.field.linear_combination(row[home.start : home.end], local)
         uploaded = {index: survivors[index].payload_bytes for index in participants}
         return RepairOutcome(
-            block=self._block(lost_index, piece),
+            block=self._block(lost_index, HierarchicalPiece(row, piece_data)),
             participants=participants,
             uploaded_per_participant=uploaded,
         )
 
-    def _reencode_home_piece(
+
+class HierarchicalCodeScheme(TreeHierarchicalCodeScheme):
+    """The two-level code: the tree with ``branching=[groups]`` whose root
+    parities are the global pieces.  Every operation is the tree's.
+
+    Parameters
+    ----------
+    k:
+        Fragments the file is split into (reconstruction needs rank k).
+    groups:
+        Number of equal groups; must divide k.
+    local_redundancy:
+        Extra local pieces per group beyond the k0 needed locally.
+    global_pieces:
+        Pieces combining all fragments (protect against whole-group loss).
+    """
+
+    name = "hierarchical"
+
+    def __init__(
         self,
-        survivors: Mapping[int, Block],
-        participants: tuple[int, ...],
-        home: _TreeNode,
-        region: _TreeNode,
-    ) -> HierarchicalPiece | None:
-        """Decode the region's fragments, then mint a home-local piece."""
-        stacked = np.stack(
-            [survivors[index].content.coefficients for index in participants]
-        )[:, region.start : region.end]
-        try:
-            selected, inverse = linalg.extract_and_invert(
-                self.field, stacked, region.size
-            )
-        except linalg.LinAlgError:
-            return None
-        rows = np.stack(
-            [survivors[participants[sel]].content.data for sel in selected]
+        k: int,
+        groups: int,
+        local_redundancy: int,
+        global_pieces: int,
+        field: GaloisField | None = None,
+        rng: np.random.Generator | None = None,
+    ):
+        if k < 1 or groups < 1 or k % groups:
+            raise ValueError(f"groups={groups} must divide k={k}")
+        if local_redundancy < 0 or global_pieces < 0:
+            raise ValueError("redundancy counts must be non-negative")
+        super().__init__(k, [groups], [global_pieces, local_redundancy], field, rng)
+        self.groups = groups
+        self.group_size = self.leaf_size
+        self.local_redundancy = local_redundancy
+        self.global_pieces = global_pieces
+        self.name = (
+            f"hierarchical(k={k},G={groups},"
+            f"local+{local_redundancy},global={global_pieces})"
         )
-        fragments = linalg.gf_matmul(self.field, inverse, rows)
-        local = fragments[home.start - region.start : home.end - region.start]
-        weights = self.field.random(home.size, self.rng)
-        row = self.field.zeros(self.k)
-        row[home.start : home.end] = weights
-        data = self.field.linear_combination(weights, local)
-        return HierarchicalPiece(coefficients=row, data=data, group=home.depth)
+
+    @property
+    def pieces_per_group(self) -> int:
+        return self.group_size + self.local_redundancy
+
+    def group_of(self, index: int) -> int | None:
+        """Owning group of a block index, or None for global pieces."""
+        node = self.node_of(index)
+        return None if node.depth == 0 else node.start // self.group_size

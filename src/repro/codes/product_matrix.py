@@ -49,18 +49,10 @@ from repro.gf.field import GF, GaloisField
 __all__ = ["ProductMatrixMBR", "ProductMatrixMSR"]
 
 
-def _combine(field: GaloisField, weights: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """``sum_r weights[r] * tensor[r]`` for a stack of equally shaped arrays."""
-    flat = tensor.reshape(tensor.shape[0], -1)
-    return field.linear_combination(weights, flat).reshape(tensor.shape[1:])
-
-
 def _tensor_matmul(field: GaloisField, matrix: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """``matrix @ tensor`` where tensor is (r, c, L) of stripe symbols."""
-    rows = [
-        _combine(field, matrix[row], tensor) for row in range(matrix.shape[0])
-    ]
-    return np.stack(rows)
+    flat = linalg.gf_matmul(field, matrix, tensor.reshape(tensor.shape[0], -1))
+    return flat.reshape(matrix.shape[0], *tensor.shape[1:])
 
 
 class _ProductMatrixBase(RedundancyScheme):

@@ -25,6 +25,7 @@ from repro.codes.base import (
     RedundancyScheme,
     RepairError,
     RepairOutcome,
+    pad_to_matrix,
 )
 from repro.gf import linalg
 from repro.gf.field import GF, GaloisField
@@ -74,15 +75,8 @@ class ReedSolomonScheme(RedundancyScheme):
     # life cycle
     # ------------------------------------------------------------------
 
-    def _pad_to_matrix(self, data: bytes) -> np.ndarray:
-        """Reshape the file into the (k, L) element matrix D of stripes."""
-        stride = self.k * self.field.element_size
-        padded_size = max(len(data) + (-len(data)) % stride, stride)
-        padded = data + b"\x00" * (padded_size - len(data))
-        return self.field.bytes_to_elements(padded).reshape(self.k, -1)
-
     def encode(self, data: bytes) -> EncodedObject:
-        stripes = self._pad_to_matrix(data)
+        stripes = pad_to_matrix(self.field, data, self.k)
         coded = linalg.gf_matmul(self.field, self.generator, stripes)
         block_bytes = stripes.shape[1] * self.field.element_size
         blocks = tuple(

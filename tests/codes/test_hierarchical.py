@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codes import HierarchicalCodeScheme
+from repro.codes import HierarchicalCodeScheme, TreeHierarchicalCodeScheme
 from repro.codes.base import ReconstructError, RepairError
 
 
@@ -169,3 +169,66 @@ class TestRepairTrafficAdvantage:
             total += outcome.bytes_downloaded
         mean_traffic = total / repairs
         assert mean_traffic < len(sample_data)  # erasure would move >= |file|
+
+
+#: (k, G, local redundancy, global pieces); the last has no root parities.
+TWO_LEVEL_CONFIGS = [(8, 2, 2, 2), (12, 3, 1, 3), (6, 1, 2, 0)]
+
+
+def _flat_and_tree(k, groups, local, global_, seed):
+    """HierarchicalCodeScheme(k, G, l, g) beside TreeHierarchicalCodeScheme(
+    k, [G], [g, l]) on the same seed."""
+    flat = HierarchicalCodeScheme(k, groups, local, global_, rng=np.random.default_rng(seed))
+    tree = TreeHierarchicalCodeScheme(
+        k, [groups], [global_, local], rng=np.random.default_rng(seed)
+    )
+    return flat, tree
+
+
+def _piece_bytes(block):
+    return block.content.coefficients.tobytes() + block.content.data.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("k, groups, local, global_", TWO_LEVEL_CONFIGS)
+def test_two_level_is_the_one_level_tree(k, groups, local, global_, seed, sample_data):
+    """Same pieces, same local repair, same escalated repair, byte for byte."""
+    flat, tree = _flat_and_tree(k, groups, local, global_, seed)
+    encoded = flat.encode(sample_data)
+    assert [_piece_bytes(b) for b in encoded.blocks] == [
+        _piece_bytes(b) for b in tree.encode(sample_data).blocks
+    ]
+    # A local repair, then one with the group left below rank k0.
+    for depleted in ([0], list(range(local + 1))):
+        available = encoded.block_map()
+        for index in depleted:
+            del available[index]
+        outcomes = []
+        for scheme in (flat, tree):
+            try:
+                outcomes.append(scheme.repair(encoded, available, 0))
+            except RepairError:
+                outcomes.append(None)
+        if None in outcomes:
+            assert outcomes == [None, None]
+            continue
+        assert outcomes[0].participants == outcomes[1].participants
+        assert _piece_bytes(outcomes[0].block) == _piece_bytes(outcomes[1].block)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize(
+    "k, groups, local, global_", [c for c in TWO_LEVEL_CONFIGS if c[3]]
+)
+def test_root_piece_repair_matches_the_tree(k, groups, local, global_, seed, sample_data):
+    """A global piece repairs from the same helpers uploading the same bytes."""
+    flat, tree = _flat_and_tree(k, groups, local, global_, seed)
+    encoded = flat.encode(sample_data)
+    tree.encode(sample_data)  # keeps both RNGs in step
+    root_piece = flat.total_blocks - 1
+    assert flat.group_of(root_piece) is None
+    available = encoded.block_map()
+    del available[root_piece]
+    outcomes = [scheme.repair(encoded, available, root_piece) for scheme in (flat, tree)]
+    assert outcomes[0].participants == outcomes[1].participants
+    assert outcomes[0].uploaded_per_participant == outcomes[1].uploaded_per_participant

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.codes import ReedSolomonScheme
-from repro.codes.base import ReconstructError, RepairError
+from repro.codes.base import ReconstructError, RepairError, pad_to_matrix
 from repro.gf import linalg
 from repro.gf.field import GF
 from repro.gf.polynomial import Polynomial
@@ -83,7 +83,7 @@ class TestMDSReconstruction:
         field = GF(8)
         scheme = ReedSolomonScheme(3, 2, field=field)
         encoded = scheme.encode(sample_data[:30])
-        stripes = scheme._pad_to_matrix(sample_data[:30])
+        stripes = pad_to_matrix(field, sample_data[:30], scheme.k)
         # Column c of the coded blocks is generator @ stripes[:, c]; the
         # systematic generator corresponds to the interpolation through
         # the first k points.

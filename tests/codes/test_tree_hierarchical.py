@@ -5,6 +5,7 @@ import pytest
 
 from repro.codes.base import ReconstructError, RepairError
 from repro.codes.hierarchical import TreeHierarchicalCodeScheme
+from repro.gf.field import GaloisField
 
 
 def make_scheme(seed=0, **overrides):
@@ -193,3 +194,25 @@ class TestHierarchicalRepair:
             available[lost] = outcome.block
             assert scheme.reconstruct(encoded, list(available.values())) == data
         assert sum(degrees) / len(degrees) < 8
+
+
+def test_escalated_repair_combines_only_once(monkeypatch, data):
+    """A repair escalated past its home node re-encodes one home-local
+    piece; it draws no mixing vector and combines no rows for the wider
+    region it then discards."""
+    scheme = make_scheme(branching=[2], parities_per_level=[2, 2])
+    encoded = scheme.encode(data)
+    available = encoded.block_map()
+    for index in (0, 1, 2):  # leaf group 0 left with 3 < 4 pieces
+        del available[index]
+    calls = []
+    combine = GaloisField.linear_combination
+
+    def counting(self, coefficients, vectors):
+        calls.append(np.shape(vectors))
+        return combine(self, coefficients, vectors)
+
+    monkeypatch.setattr(GaloisField, "linear_combination", counting)
+    outcome = scheme.repair(encoded, available, 0)
+    assert outcome.repair_degree == 8
+    assert len(calls) == 1
