@@ -63,6 +63,7 @@ __all__ = [
     "matmul",
     "matvec",
     "matmul_sharded",
+    "usable_cpus",
 ]
 
 #: Environment variable bounding the row-shard fan-out of :func:`matmul`.
@@ -293,6 +294,12 @@ def default_workers() -> int:
         if workers < 1:
             raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
         return workers
+    return usable_cpus()
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask where
+    the platform exposes one, not the host's CPU count."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1

@@ -79,8 +79,14 @@ class BlockStore:
         return self._refs / f"{digest_bytes(key.encode('utf-8'))}.json"
 
     def _write_atomic(self, path: pathlib.Path, data: bytes) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        try:
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
+        except FileNotFoundError:
+            # ``refs/`` and ``objects/`` exist from __init__; only an
+            # ``objects/xx`` fan-out directory is made on first use (or
+            # remade if it vanished), not probed with mkdir on every write.
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)

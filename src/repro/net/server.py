@@ -21,6 +21,14 @@ sequential requests per connection until the client closes it, a fault
 severs it, or it sits idle past ``idle_timeout`` -- the server half of
 the client's :class:`~repro.net.pool.ConnectionPool`.  A one-shot
 client still works unchanged (it just closes after its one exchange).
+
+Request handlers do blocking work (fsync'd writes, GF row combines,
+digest checks), so they run off the event loop, on one dispatch pool
+shared by every daemon in the process: one thread per CPU the process
+may run on, however many daemons a :class:`~repro.net.cluster.LocalCluster`
+hosts.  Each daemon still dispatches one request at a time -- its
+blockstore, rng and per-opcode instruments rely on that -- through a
+per-daemon lock held on the loop until the dispatch has returned.
 """
 
 from __future__ import annotations
@@ -28,6 +36,8 @@ from __future__ import annotations
 import asyncio
 import concurrent.futures
 import logging
+import os
+import threading
 
 import numpy as np
 
@@ -38,6 +48,7 @@ from repro.core.serialization import (
     piece_from_bytes,
     piece_to_bytes,
 )
+from repro.gf.kernels import usable_cpus
 from repro.net.blockstore import BlockCorruptionError, BlockStore
 from repro.net.errors import ProtocolError
 from repro.net.faults import FaultEvent, FaultKind, FaultPlan
@@ -66,6 +77,44 @@ from repro.obs import MetricsRegistry, now_ns
 __all__ = ["PeerDaemon"]
 
 logger = logging.getLogger(__name__)
+
+_DISPATCH_POOL: concurrent.futures.ThreadPoolExecutor | None = None
+_DISPATCH_POOL_LOCK = threading.Lock()
+
+
+def _dispatch_pool() -> concurrent.futures.ThreadPoolExecutor:
+    """The pool every daemon in this process dispatches on, created on
+    first use with one ``daemon-dispatch`` thread per usable CPU.
+
+    No dispatch waits on another daemon, so one thread is enough for
+    correctness; more only let daemons' dispatches run side by side.
+    """
+    global _DISPATCH_POOL
+    with _DISPATCH_POOL_LOCK:
+        if _DISPATCH_POOL is None:
+            _DISPATCH_POOL = concurrent.futures.ThreadPoolExecutor(
+                max_workers=usable_cpus(), thread_name_prefix="daemon-dispatch"
+            )
+        return _DISPATCH_POOL
+
+
+def _drop_dispatch_pool() -> None:
+    """A forked child inherits the pool but none of its threads: start over."""
+    global _DISPATCH_POOL, _DISPATCH_POOL_LOCK
+    _DISPATCH_POOL = None
+    _DISPATCH_POOL_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_dispatch_pool)
+
+
+def _release_on(loop: asyncio.AbstractEventLoop, lock: asyncio.Lock) -> None:
+    """Release ``lock`` on its loop from a dispatch thread."""
+    try:
+        loop.call_soon_threadsafe(lock.release)
+    except RuntimeError:
+        pass  # the loop has closed: nothing can be waiting on the lock
 
 
 class PeerDaemon:
@@ -133,12 +182,14 @@ class PeerDaemon:
         # and port across awaits, so concurrent lifecycle calls would
         # otherwise race (two listeners, half-torn shutdown).
         self._lifecycle_lock = asyncio.Lock()
-        # Request handlers do real blocking work (fsync'd writes, GF row
-        # combines, digest checks); they run on this single dispatch
-        # thread so the event loop keeps serving other connections.  One
-        # worker, because the blockstore, the rng, and the per-opcode
-        # instruments are only safe under serialized dispatch.
-        self._dispatch_pool: concurrent.futures.ThreadPoolExecutor | None = None
+        # Dispatches run on the shared pool, but the blockstore, the rng
+        # and the per-opcode instruments are only safe under serialized
+        # dispatch: this lock admits one of this daemon's dispatches at a
+        # time and is held until that dispatch has returned.  asyncio
+        # primitives bind to one loop, so the lock is remade when the
+        # daemon is driven by a new one (see _loop_dispatch_lock).
+        self._dispatch_lock = asyncio.Lock()
+        self._dispatch_loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.StreamWriter] = set()
         self._handlers: set[asyncio.Task] = set()
@@ -149,8 +200,9 @@ class PeerDaemon:
         self._bytes_sent = self.obs.counter("daemon.bytes_sent_total")
         self._connections_open = self.obs.gauge("daemon.connections_open")
         self._connections_total = self.obs.counter("daemon.connections_total")
-        # Per-opcode (requests counter, handler-latency histogram), cached
-        # so the hot request loop never rebuilds label keys.
+        # Per-opcode (requests counter, handler-latency histogram,
+        # queue-wait histogram), cached so the hot request loop never
+        # rebuilds label keys.
         self._op_instruments: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
@@ -162,10 +214,7 @@ class PeerDaemon:
         async with self._lifecycle_lock:
             if self._server is not None:
                 raise RuntimeError("daemon already started")
-            if self._dispatch_pool is None:
-                self._dispatch_pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="daemon-dispatch"
-                )
+            self._loop_dispatch_lock()
             self._server = await asyncio.start_server(
                 self._handle_connection, self.host, self.port
             )
@@ -194,11 +243,23 @@ class PeerDaemon:
                 # unwind so no task is left to be cancelled noisily at
                 # loop teardown.
                 await asyncio.gather(*list(self._handlers), return_exceptions=True)
-            if self._dispatch_pool is not None:
-                # Every handler has unwound, so the pool is idle and
-                # shutdown returns without blocking the loop.
-                self._dispatch_pool.shutdown(wait=True)
-                self._dispatch_pool = None
+            # A handler cancelled mid-dispatch has unwound while its
+            # dispatch may still run, holding the lock: wait it out, so
+            # the store is idle (a decommission can wipe it) on return.
+            async with self._loop_dispatch_lock():
+                pass
+
+    def _loop_dispatch_lock(self) -> asyncio.Lock:
+        """The dispatch lock, remade if a new event loop drives the daemon.
+
+        A lock left held under a closed loop can never be released, and
+        nothing of that loop's can be waited on any more.
+        """
+        loop = asyncio.get_running_loop()
+        if self._dispatch_loop is not loop:
+            self._dispatch_lock = asyncio.Lock()
+            self._dispatch_loop = loop
+        return self._dispatch_lock
 
     async def serve_forever(self) -> None:
         """Start (if needed) and block until cancelled -- CLI entry point."""
@@ -252,7 +313,6 @@ class PeerDaemon:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         peername = writer.get_extra_info("peername")
-        loop = asyncio.get_running_loop()
         task = asyncio.current_task()
         if task is not None:
             self._handlers.add(task)
@@ -283,6 +343,7 @@ class PeerDaemon:
                     self._bytes_sent.inc(sent)
                     break  # framing is lost; drop the connection
                 self._bytes_received.inc(frame_bytes)
+                parsed_ns = now_ns()
                 # Fault decisions hash a handful of label strings (a
                 # seeded deterministic draw, microseconds); the flagged
                 # sha256 never sees request payloads, and the plan's
@@ -303,16 +364,16 @@ class PeerDaemon:
                         # loop thread mutates -- it must not hop threads,
                         # and it touches no disk and no GF kernel, so
                         # running it inline cannot stall the loop.
-                        response = self._timed_dispatch(request)  # reprolint: disable=RL502
+                        response = self._timed_dispatch(  # reprolint: disable=RL502
+                            request, parsed_ns
+                        )
                     else:
                         # Get-or-create the per-opcode instruments here:
                         # registry creation is not thread-safe, so it
                         # must happen on the loop thread; the dispatch
                         # thread then only updates existing instruments.
                         self._instruments(request)
-                        response = await loop.run_in_executor(
-                            self._dispatch_pool, self._timed_dispatch, request
-                        )
+                        response = await self._dispatch_off_loop(request, parsed_ns)
                 if event is not None and event.kind is FaultKind.TRUNCATE:
                     frame = self.fault_plan.truncate_frame(
                         encode_message(response), event
@@ -352,8 +413,34 @@ class PeerDaemon:
             except (ConnectionResetError, BrokenPipeError):
                 pass
 
+    async def _dispatch_off_loop(self, request: Message, parsed_ns: int) -> Message:
+        """Run one dispatch on the shared pool, serialized per daemon.
+
+        The lock is released only once the dispatch has returned -- also
+        when this handler is cancelled while it runs -- so the next
+        request never overlaps an abandoned one's store write or rng draw.
+        """
+        lock = self._dispatch_lock
+        await lock.acquire()
+        try:
+            future = _dispatch_pool().submit(self._timed_dispatch, request, parsed_ns)
+        except BaseException:
+            lock.release()
+            raise
+        try:
+            return await asyncio.wrap_future(future)
+        finally:
+            if future.done():
+                lock.release()
+            else:
+                # Cancelled while the dispatch runs: its completion
+                # releases the lock, on this loop.
+                loop = asyncio.get_running_loop()
+                future.add_done_callback(lambda _: _release_on(loop, lock))
+
     def _instruments(self, request: Message) -> tuple:
-        """The per-opcode (requests counter, handler histogram) pair."""
+        """The per-opcode (requests counter, handler histogram, queue-wait
+        histogram) triple."""
         key = type(request).__name__
         cached = self._op_instruments.get(key)
         if cached is None:
@@ -361,21 +448,26 @@ class PeerDaemon:
             cached = self._op_instruments[key] = (
                 self.obs.counter("daemon.requests_total", op=op),
                 self.obs.histogram("daemon.handler_ns", op=op),
+                self.obs.histogram("daemon.queue_ns", op=op),
             )
         return cached
 
-    def _timed_dispatch(self, request: Message) -> Message:
-        """Dispatch with the handler's compute time recorded per opcode.
+    def _timed_dispatch(self, request: Message, parsed_ns: int) -> Message:
+        """Dispatch with its queue wait and compute time recorded per opcode.
 
-        Runs on the dispatch thread (except STATS, which stays on the
-        loop); the caller pre-creates this opcode's instruments so only
-        updates happen here.
+        The queue wait runs from ``parsed_ns``, when the loop parsed the
+        request, to this call: any injected DELAY, the semaphore, this
+        daemon's dispatch lock and a free pool thread.  Runs on a dispatch thread (except STATS,
+        which stays on the loop); the caller pre-creates this opcode's
+        instruments so only updates happen here.
         """
         if not self.obs.enabled:
             return self._dispatch(request)
+        _, handler_ns, queue_ns = self._instruments(request)
         start = now_ns()
+        queue_ns.observe(start - parsed_ns)
         response = self._dispatch(request)
-        self._instruments(request)[1].observe(now_ns() - start)
+        handler_ns.observe(now_ns() - start)
         return response
 
     def _dispatch(self, request: Message) -> Message:

@@ -10,10 +10,11 @@ A :class:`MetricsRegistry` holds three instrument kinds:
   counts, built for nanosecond latencies (``perf_counter_ns``).
 
 Instruments are plain attribute updates, without a lock, and each has
-one writing thread.  That is usually the event loop's, but a daemon's
-single dispatch thread updates ``daemon.requests_total``,
-``daemon.handler_ns`` and the ``store.*`` instruments while the loop may
-be taking a snapshot.  The snapshot reads each histogram's buckets once
+one writer at a time.  That is usually the event loop, but a daemon's
+``daemon.requests_total``, ``daemon.handler_ns``, ``daemon.queue_ns``
+and ``store.*`` instruments are updated by whichever shared dispatch
+thread runs that daemon's request -- one at a time, as the daemon
+serializes its dispatch -- while the loop may be taking a snapshot.  The snapshot reads each histogram's buckets once
 and derives the count and the percentiles from that copy, so it
 conserves buckets even then (see :class:`Histogram`).  The registry
 serializes to a versioned JSON snapshot (``repro-obs-snapshot-v1``)

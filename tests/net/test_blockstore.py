@@ -1,5 +1,8 @@
 """BlockStore: put/get, content addressing, corruption detection."""
 
+import os
+import shutil
+
 import pytest
 
 from repro.codes.integrity import BlockCorruptionError, digest_bytes
@@ -96,7 +99,6 @@ class TestDurability:
     bugfix -- ``_write_atomic`` previously never fsynced anything)."""
 
     def _record_fsyncs(self, monkeypatch):
-        import os
         import stat
 
         synced = {"files": 0, "dirs": 0}
@@ -133,3 +135,38 @@ class TestDurability:
         store.put("a/0", b"disposable")
         assert synced == {"files": 0, "dirs": 0}
         assert store.get("a/0") == b"disposable"
+
+
+class TestFanOutDirectories:
+    """``objects/xx`` directories are made on demand, not probed per write."""
+
+    def test_writes_into_existing_directories_make_no_mkdir(self, tmp_path, monkeypatch):
+        store = BlockStore(tmp_path / "store", fsync=False)
+        blobs = [f"piece {n}".encode() for n in range(20)]
+        for n, blob in enumerate(blobs):
+            store.put(f"warm/{n}", blob)
+        # Drop the objects (not their directories) so the re-puts below
+        # write every object again, into a fan-out directory that exists.
+        for blob in blobs:
+            store._object_path(digest_bytes(blob)).unlink()
+        calls = []
+        real_mkdir = os.mkdir
+
+        def counting_mkdir(*args, **kwargs):
+            calls.append(args[0])
+            return real_mkdir(*args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        for n, blob in enumerate(blobs):
+            store.put(f"again/{n}", blob)
+        assert calls == []
+        assert [store.get(f"again/{n}") for n in range(20)] == blobs
+
+    def test_put_remakes_a_vanished_fan_out_directory(self, tmp_path):
+        store = BlockStore(tmp_path / "store")
+        store.put("a/0", b"first copy")
+        fan_out = store._object_path(digest_bytes(b"first copy")).parent
+        shutil.rmtree(fan_out)
+        store.put("a/1", b"first copy")
+        assert store.get("a/1") == b"first copy"
+        assert fan_out.is_dir()
