@@ -6,8 +6,8 @@ log/exp tables ("3 lookups and 1 addition").  This package provides that
 substrate:
 
 - :mod:`repro.gf.field` -- the field itself, with vectorized numpy kernels.
-- :mod:`repro.gf.kernels` -- the batched, cache-blocked matmul kernel
-  and its thread fan-out.
+- :mod:`repro.gf.kernels` -- the batched matmul kernel and its thread
+  fan-out; its module docstring owns the kernel design.
 - :mod:`repro.gf.linalg` -- linear algebra over the field (matrix product,
   inversion, rank, and the independent-row extraction used during
   reconstruction).

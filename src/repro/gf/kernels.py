@@ -1,42 +1,108 @@
-"""Batched, cache-blocked GF(2^q) matmul kernel.
+"""Batched GF(2^q) matmul kernel: a log-table path and a row-XOR path.
 
 The paper's section 5.2 bottleneck-bandwidth analysis asks whether CPU or
 network limits a deployment; the answer hinges on how fast the GF(2^16)
 linear combinations run.  This module is the hot path: every encode,
 repair, and reconstruct in :mod:`repro.codes` and the Coordinator funnels
-through :func:`matmul` (via :func:`repro.gf.linalg.gf_matmul`).
+through :func:`matmul` (via :func:`repro.gf.linalg.gf_matmul`).  This
+docstring is the one description of the kernel's design; the other
+documents point here.
 
-One loop serves every operand shape (:func:`matmul`):
+:func:`matmul` multiplies the (m, k) coefficient matrix ``a`` by the
+(k, n) data matrix ``b`` on one of two paths, chosen by its shape.
+Both compute the same field products, so their bytes are equal.
 
-1. **Logs once per column tile.**  Per tile of at most ``col_block``
+**Selection.**  Products of at least ``_XOR_MIN_ROWS`` (128) rows and
+``_XOR_MIN_COLUMNS`` (64) columns take the XOR path, all others the log
+path.  Single-thread CPU time of the XOR path over the log path's,
+GF(2^16), on the 2-vCPU box the ledger runs on, by rows::
+
+    rows m   k=319, n=1644   k=32, n=16384   k=31, n=270600
+             (paper)         (erasure)       (bulk)
+    32       1.64            1.50            2.91
+    64       0.97            0.91            1.11
+    96       0.67            0.66-0.85       0.79
+    128      0.52            0.60            0.68
+    319      0.31            -               -
+    640      0.25            -               -
+
+The paper's encode (640 rows) and decode (319) take the XOR path.  No
+erasure-, bulk- or small-file-sized product has more than 64 rows, so
+those, every repair, and elimination in :mod:`repro.gf.linalg` keep the
+log path.  The row threshold is 128 rather than 96 because the log path
+gains more from a second worker (x1.5 against x1.2-1.3 on 2 vCPUs).
+
+The XOR path's cost has a part per numpy call, ``(2 + 2.7) k q / g``
+calls per tile, that narrow data does not amortise, and it copies table
+rows ``n`` elements long.  By columns::
+
+    (m, k)       n=1    n=8    n=16   n=32   n=64   n=128   n=1644
+    (640, 319)   2.97   1.53   1.14   1.00   0.59   0.45    0.25
+    (128, 319)   -      -      -      1.68   1.27   0.99    0.52
+    (128, 32)    -      -      2.16   1.82   1.47   1.01    -
+    (4096, 8)    3.84   1.01   0.70   0.61   0.47   -       -
+
+``n = 1`` is :func:`matvec`; ``n`` is 103 for the paper's code on a
+64 KiB file.  At 64 columns a 128-row product still loses up to 1.5 ms,
+where 256 rows gain 2 ms and 640 rows 9 ms.
+
+**Log path** (:func:`_log_product`, one row shard in :func:`_accumulate`).
+
+1. *Logs once per column tile.*  Per tile of at most ``col_block``
    data columns the data's logs are taken once into an int32 scratch tile
    (``GaloisField._log0``, zero mapped to a sentinel), so every product
    after that is one index into the zero-extended ``_exp0`` -- exact for
    zero and unit operands with no masking and no special case.
 
-2. **Chunked add -> take -> xor.**  Output rows are visited in chunks
+2. *Chunked add -> take -> xor.*  Output rows are visited in chunks
    sized so ``rows x tile columns`` is about ``_CHUNK`` elements, and each
    inner column ``j`` costs one ``GaloisField._xor_outer`` step into
    preallocated buffers: ``np.take(..., out=, mode="clip")``, which is
    several times cheaper than a fancy-index gather and bounds-proven
-   because the index is a sum of two logs.  Tall-narrow operands (the
-   paper's (640 x 319)(319 x 1644) encode, a 16 KiB file's 265 columns)
-   get many rows per step; for wide operands the tile alone fills a
-   chunk, rows = 1, and the step degenerates to an add-free offset view
-   of the exp table.  Scratch is tile x (k + chunk rows), never
-   proportional to an operand.
+   because the index is a sum of two logs.  For wide operands the tile
+   alone fills a chunk, rows = 1, and the step degenerates to an
+   add-free offset view of the exp table.  Scratch is tile x (k + chunk
+   rows), never proportional to an operand.
 
-3. **Fan-out.**  A product of ``m x k x n`` element operations is split
-   by output rows into ``min(workers, m k n // _MIN_SHARD_OPS, m)``
-   shards (``workers``: ``REPRO_GF_WORKERS``, else the CPUs this process
-   may run on), each accumulating into its own contiguous row block of
-   the one output.  The calling thread allocates all scratch -- the log
-   tile, shared read-only, and one chunk buffer pair per shard -- runs
-   the last shard itself and hands the rest to one process-wide pool
-   whose threads are created once; ``np.take`` releases the GIL.  Below
-   the threshold (every repair, erasure- and small-file-sized products)
-   the product runs inline and the pool is never touched.  Shards never
-   overlap, so results are byte-identical for any worker count.
+**XOR path** (:func:`_xor_product`, one column shard in
+:func:`_xor_columns`).  Write a coefficient ``c = sum_t c_t x^t``.  Then
+``c v = XOR over {t : c_t = 1} of x^t v``, so output row ``i`` is the
+XOR of the *basis rows* ``x^t b_j`` over every ``(j, t)`` where bit ``t``
+of ``a[i, j]`` is set, and no product is looked up per element.
+
+- A basis row comes from the one before it by a left shift, XORing the
+  polynomial's low bits wherever the top bit fell off
+  (:func:`_times_x`): exact for zero, for every q.
+- The ``k q`` bits are grouped ``g = _XOR_GROUP`` (6) at a time.  Each
+  group's 2^g XOR combinations of its basis rows are built by doubling,
+  ``g`` XOR calls, and every output row XORs in the one table row that
+  its ``g`` coefficient bits index (:func:`_bit_patterns`, uint8, once
+  per product).  This is the "Four Russians" (M4RI) scheme over
+  GF(2^q), the idea behind Cauchy Reed-Solomon bit-matrix coding.
+- Per element operation that is ``q / g`` table-row copies and XORs,
+  plus ``2^g q / (g m)`` table-building XORs: it wins once ``m``
+  amortises the tables -- hence the row threshold.
+- Column tiles are at most ``min(col_block, _XOR_TILE)`` wide (512);
+  basis rows and tables are made ``_XOR_BATCH`` (32) groups at a time.
+  A shard's scratch is its table batch, its basis rows, and an (m, tile)
+  gather and accumulator: never proportional to ``k`` or ``n``.
+
+**Fan-out.**  A product of ``m x k x n`` element operations is split
+into ``min(workers, m k n // _MIN_SHARD_OPS)`` shards (``workers``:
+``REPRO_GF_WORKERS``, else the CPUs this process may run on): by output
+rows on the log path, one tile at a time, and by column ranges on the
+XOR path, each shard running its own tiles.  The calling thread
+allocates all scratch -- the shared log tile or bit patterns and each
+shard's own buffers -- runs the last shard itself and hands the rest to
+one process-wide pool whose threads are created once; numpy releases
+the GIL inside each call.  Shard bodies allocate no array: the XOR
+path's ``np.take`` reads intp indices and writes into its gather buffer,
+and only numpy's fixed per-call iterator buffers remain; the log path's
+``np.take`` still widens each int32 index chunk to a transient intp copy
+(at most ``_CHUNK`` x 8 bytes).  Below ``2 * _MIN_SHARD_OPS`` (every
+repair, erasure- and small-file-sized products) the product runs inline
+and the pool is never touched.  Shards never overlap, so results are
+byte-identical for any worker count and any ``col_block``.
 
 :func:`_matmul_reference`, the seed broadcast algorithm, is not reachable
 at run time; it stays as the oracle the kernel tests compare against.
@@ -66,7 +132,7 @@ __all__ = [
     "usable_cpus",
 ]
 
-#: Environment variable bounding the row-shard fan-out of :func:`matmul`.
+#: Environment variable bounding the shard fan-out of :func:`matmul`.
 WORKERS_ENV = "REPRO_GF_WORKERS"
 
 #: Widest column tile: 2^15 elements fill one ``_CHUNK`` step on their
@@ -81,6 +147,23 @@ DEFAULT_COL_BLOCK = 1 << 15
 #: (the paper's and the bulk encode and decode); 2^25 puts the first
 #: split at 2^26 ops.
 _MIN_SHARD_OPS = 1 << 25
+
+#: Coefficient rows and data columns from which :func:`matmul` takes the
+#: XOR path (the crossover tables in the module docstring).
+_XOR_MIN_ROWS = 128
+_XOR_MIN_COLUMNS = 64
+
+#: Coefficient bits per lookup table: 2^6 rows each.  5 and 6 measured
+#: alike on the paper's shapes; 7 and 8 build too much table for m <= 640.
+_XOR_GROUP = 6
+
+#: Widest column tile of the XOR path: a paper-encode shard's (640 x 411)
+#: gather and accumulator plus its table batch stay inside a 4 MiB L2.
+_XOR_TILE = 512
+
+#: Groups whose basis rows and tables are made at once: 32 x 6 bits are
+#: twelve whole GF(2^16) coefficients, and a shard's tables 1.6 MiB.
+_XOR_BATCH = 32
 
 
 class _ShardPool:
@@ -172,8 +255,9 @@ def _accumulate(
     ``acc`` is the shard's (rows, width) block of the output, ``log_a``
     its coefficient logs, ``logs`` the tile's data logs (shared, read
     only), ``idx``/``prod`` its own (chunk rows, width) scratch.  Runs on
-    pool threads: it allocates nothing and calls no public kernel, so the
-    caller's one :func:`matmul` call is all a profiler sees.
+    pool threads and calls no public kernel, so the caller's one
+    :func:`matmul` call is all a profiler sees; its one allocation is
+    ``np.take``'s intp copy of each ``idx`` chunk.
     """
     step = len(idx)
     for start in range(0, len(acc), step):
@@ -184,37 +268,14 @@ def _accumulate(
             field._xor_outer(block, log_rows[:, j], logs[j], step_idx, step_prod)
 
 
-def matmul(
-    field: GaloisField,
-    a,
-    b,
-    *,
-    workers: int | None = None,
-    col_block: int = DEFAULT_COL_BLOCK,
-) -> np.ndarray:
-    """Cache-blocked fused-table matrix product over the field.
-
-    ``a`` is the (m, k) coefficient matrix, ``b`` the (k, n) data matrix.
-    Exact for zero operands (fused zero-extended tables) and for every
-    shape edge case: empty matrices, single rows, tiles and chunks that
-    do not divide the dimensions.  ``workers`` bounds the row-shard
-    fan-out of large products (default :func:`default_workers`); the
-    result is byte-identical for every value.
-    """
-    a, b = _validate(field, a, b)
-    if col_block < 1:
-        # range() with a non-positive step yields nothing, which would
-        # silently return an all-zero product.
-        raise ValueError(f"col_block must be >= 1, got {col_block}")
-    workers = default_workers() if workers is None else int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+def _log_product(
+    field: GaloisField, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+    shards: int, col_block: int,
+) -> None:
+    """The log path: ``out = a @ b`` by row shards, one tile at a time."""
     m, k = a.shape
     n = b.shape[1]
-    out = field.zeros((m, n))
-    if 0 in (m, k, n):
-        return out
-    shards = max(1, min(workers, m * k * n // _MIN_SHARD_OPS, m))
+    shards = min(shards, m)
     log0 = field._log0
     log_a = np.take(log0, a)
     tile = min(n, col_block)
@@ -238,21 +299,202 @@ def matmul(
         # range-checked by _validate, so clip cannot hide anything.
         for j in range(k):
             np.take(log0, b[j, cols], out=tile_logs[j], mode="clip")
-        arg_sets = [
-            (
-                field,
-                out[lo:hi, cols],
-                log_a[lo:hi],
-                tile_logs,
-                idx[: r * width].reshape(r, width),
-                prod[: r * width].reshape(r, width),
-            )
-            for lo, hi, r, idx, prod in blocks
+        _run(
+            _accumulate,
+            [
+                (
+                    field,
+                    out[lo:hi, cols],
+                    log_a[lo:hi],
+                    tile_logs,
+                    idx[: r * width].reshape(r, width),
+                    prod[: r * width].reshape(r, width),
+                )
+                for lo, hi, r, idx, prod in blocks
+            ],
+        )
+
+
+def _bit_patterns(field: GaloisField, a: np.ndarray) -> np.ndarray:
+    """Every coefficient row's bits, ``_XOR_GROUP`` to a byte.
+
+    Bit ``j q + t`` of row ``i`` is bit ``t`` of ``a[i, j]``; entry
+    ``[G, i]`` of the (groups, m) uint8 result packs bits
+    ``[G g, (G + 1) g)`` of row ``i``, little end first, and is zero past
+    the last bit.  Temporaries are one (groups, m) array of the field
+    dtype at a time.
+    """
+    q = field.q
+    nbits = a.shape[1] * q
+    a_t = np.ascontiguousarray(a.T)
+    patterns = np.zeros((-(-nbits // _XOR_GROUP), a.shape[0]), dtype=np.uint8)
+    for u in range(_XOR_GROUP):
+        positions = np.arange(u, nbits, _XOR_GROUP)
+        bits = np.take(a_t, positions // q, axis=0)
+        np.right_shift(bits, (positions % q).astype(field.dtype)[:, None], out=bits)
+        np.bitwise_and(bits, 1, out=bits)
+        np.left_shift(bits, u, out=bits)
+        head = patterns[: len(positions)]
+        np.bitwise_or(head, bits, out=head, casting="unsafe")
+    return patterns
+
+
+def _times_x(field: GaloisField, src: np.ndarray, dst: np.ndarray, top: np.ndarray) -> None:
+    """``dst = x * src`` elementwise: shift left, reduce where the top bit
+    fell off.  ``top`` is caller-owned scratch of ``src``'s shape."""
+    np.right_shift(src, field.q - 1, out=top)
+    np.multiply(top, field.polynomial & (field.order - 1), out=top)
+    np.left_shift(src, 1, out=dst)
+    if field.q not in (8, 16):  # the dtype does not drop bit q
+        np.bitwise_and(dst, field.order - 1, out=dst)
+    np.bitwise_xor(dst, top, out=dst)
+
+
+def _xor_columns(
+    field: GaloisField,
+    out: np.ndarray,
+    patterns: np.ndarray,
+    b: np.ndarray,
+    lo: int,
+    hi: int,
+    tile: int,
+    tables: np.ndarray,
+    basis: np.ndarray,
+    top: np.ndarray,
+    idx: np.ndarray,
+    gather: np.ndarray,
+    acc: np.ndarray,
+) -> None:
+    """``out[:, lo:hi] = a @ b[:, lo:hi]`` by table-driven row XORs.
+
+    ``patterns`` is :func:`_bit_patterns` of ``a``; the columns run in
+    near-equal tiles, ``tile`` the widest.  Per tile and per batch of
+    ``len(idx)`` groups: the batch's basis rows ``x^t b_j`` are generated
+    into ``basis`` (``top``: the carry), each group's 2^g XOR combinations
+    are built by doubling into ``tables``, and every output row XORs in
+    the one table row its pattern names -- ``np.take`` into ``gather``,
+    then into the contiguous ``acc`` (three times cheaper than XOR into a
+    strided view of ``out``).  All six are this shard's own flat scratch,
+    sized by the caller: like :func:`_accumulate` this runs on pool
+    threads and calls no public kernel, and it allocates no array.
+    """
+    q = field.q
+    m = out.shape[0]
+    g = _XOR_GROUP
+    nbits = b.shape[0] * q
+    groups, batch = len(patterns), len(idx)
+    basis_rows = len(basis) // tile
+    spans = -(-(hi - lo) // tile)
+    for span in range(spans):
+        c0 = lo + (hi - lo) * span // spans
+        c1 = lo + (hi - lo) * (span + 1) // spans
+        width = c1 - c0
+        total = acc[: m * width].reshape(m, width)
+        total.fill(0)
+        shot = gather[: m * width].reshape(m, width)
+        rows = basis[: basis_rows * width].reshape(basis_rows, width)
+        table = tables[: batch * (width << g)].reshape(batch, 1 << g, width)
+        table[:, 0] = 0  # the empty combination; doubling never writes it
+        for g0 in range(0, groups, batch):
+            count = min(batch, groups - g0)
+            bit_lo, bit_hi = g0 * g, min(nbits, (g0 + count) * g)
+            j_lo, j_hi = bit_lo // q, -(-bit_hi // q)
+            powers = rows[: (j_hi - j_lo) * q].reshape(j_hi - j_lo, q, width)
+            carry = top[: (j_hi - j_lo) * width].reshape(j_hi - j_lo, width)
+            np.copyto(powers[:, 0], b[j_lo:j_hi, c0:c1])
+            for t in range(1, q):
+                _times_x(field, powers[:, t - 1], powers[:, t], carry)
+            offset = bit_lo - j_lo * q
+            bits = rows[offset : offset + count * g]
+            bits[bit_hi - bit_lo :] = 0  # past the last coefficient bit
+            bits = bits.reshape(count, g, width)
+            for u in range(g):
+                half = 1 << u
+                np.bitwise_xor(
+                    table[:count, :half], bits[:, u : u + 1], out=table[:count, half : 2 * half]
+                )
+            np.copyto(idx[:count], patterns[g0 : g0 + count])
+            for group in range(count):
+                # Patterns are < 2^g by construction, so clip checks
+                # nothing -- and spares numpy's copy of ``out``.
+                np.take(table[group], idx[group], axis=0, out=shot, mode="clip")
+                np.bitwise_xor(total, shot, out=total)
+        out[:, c0:c1] = total
+
+
+def _xor_product(
+    field: GaloisField, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+    shards: int, col_block: int,
+) -> None:
+    """The XOR path: ``out = a @ b`` by column shards of :func:`_xor_columns`."""
+    m = a.shape[0]
+    n = b.shape[1]
+    q = field.q
+    shards = min(shards, n)
+    patterns = _bit_patterns(field, a)
+    batch = min(_XOR_BATCH, len(patterns))
+    # Basis rows a batch needs: whole b_j, its first bit anywhere in one.
+    powers = -(-(batch * _XOR_GROUP + q - 1) // q) * q
+    arg_sets = []
+    for s in range(shards):
+        lo, hi = n * s // shards, n * (s + 1) // shards
+        spans = -(-(hi - lo) // min(col_block, _XOR_TILE))
+        tile = -(-(hi - lo) // spans)
+        scratch = [
+            np.empty(batch * (tile << _XOR_GROUP), dtype=field.dtype),
+            np.empty(powers * tile, dtype=field.dtype),
+            np.empty(powers // q * tile, dtype=field.dtype),
+            np.empty((batch, m), dtype=np.intp),
+            np.empty(m * tile, dtype=field.dtype),
+            np.empty(m * tile, dtype=field.dtype),
         ]
-        if shards == 1:
-            _accumulate(*arg_sets[0])
-        else:
-            _POOL.run(_accumulate, arg_sets)
+        arg_sets.append((field, out, patterns, b, lo, hi, tile, *scratch))
+    _run(_xor_columns, arg_sets)
+
+
+def _run(fn: Callable[..., None], arg_sets: list[tuple[Any, ...]]) -> None:
+    """One shard inline on the caller; more on the pool."""
+    if len(arg_sets) == 1:
+        fn(*arg_sets[0])
+    else:
+        _POOL.run(fn, arg_sets)
+
+
+def matmul(
+    field: GaloisField,
+    a,
+    b,
+    *,
+    workers: int | None = None,
+    col_block: int = DEFAULT_COL_BLOCK,
+) -> np.ndarray:
+    """Cache-blocked matrix product over the field.
+
+    ``a`` is the (m, k) coefficient matrix, ``b`` the (k, n) data matrix.
+    Exact for zero operands and for every shape edge case: empty
+    matrices, single rows, tiles and chunks that do not divide the
+    dimensions.  ``workers`` bounds the fan-out of large products
+    (default :func:`default_workers`); ``col_block`` bounds the column
+    tile; the result is byte-identical for every value of either.
+    """
+    a, b = _validate(field, a, b)
+    if col_block < 1:
+        # range() with a non-positive step yields nothing, which would
+        # silently return an all-zero product.
+        raise ValueError(f"col_block must be >= 1, got {col_block}")
+    workers = default_workers() if workers is None else int(workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    m, k = a.shape
+    n = b.shape[1]
+    out = field.zeros((m, n))
+    if 0 in (m, k, n):
+        return out
+    shards = max(1, min(workers, m * k * n // _MIN_SHARD_OPS))
+    if m >= _XOR_MIN_ROWS and n >= _XOR_MIN_COLUMNS:
+        _xor_product(field, a, b, out, shards, col_block)
+    else:
+        _log_product(field, a, b, out, shards, col_block)
     return out
 
 

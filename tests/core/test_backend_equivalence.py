@@ -4,8 +4,10 @@
 is that kernel untouched, ``reference`` substitutes the seed broadcast
 algorithm (``kernels._matmul_reference``) for it.  With the same seed,
 both must produce byte-identical pieces for the full (encode, repair,
-reconstruct) life cycle, and must leave the golden serialization
-fixtures byte-stable.
+reconstruct) life cycle -- once on a code whose products all take the
+kernel's log path, once on the paper's code, whose encode and decode take
+its XOR path -- and must leave the golden serialization fixtures
+byte-stable.
 """
 
 import pathlib
@@ -32,13 +34,23 @@ def backend(request, monkeypatch):
     return request.param
 
 
-def run_lifecycle() -> dict[str, bytes]:
+#: RC(4,4,5,1) multiplies at most 24 rows, so every product takes the log
+#: path; the paper's RC(32,32,40,1) on 64 KiB encodes (640 x 319) and
+#: decodes (319 x 319) into 103 columns, on the XOR path.
+LIFECYCLES = {
+    "small": (RCParams(k=4, h=4, d=5, i=1), 8192),
+    "tall": (RCParams(k=32, h=32, d=40, i=1), 1 << 16),
+}
+
+
+def run_lifecycle(name: str = "small") -> dict[str, bytes]:
     """One full seeded life cycle; everything as bytes."""
+    params, size = LIFECYCLES[name]
     field = GF(16)
     code = RandomLinearRegeneratingCode(
-        RCParams(k=4, h=4, d=5, i=1), field=field, rng=np.random.default_rng(20090622)
+        params, field=field, rng=np.random.default_rng(20090622)
     )
-    payload = np.random.default_rng(7).integers(0, 256, size=8192, dtype=np.uint8)
+    payload = np.random.default_rng(7).integers(0, 256, size=size, dtype=np.uint8)
     encoded = code.insert(payload.tobytes())
     repair = code.repair(list(encoded.pieces[: code.params.d]), index=99)
     reconstructed = code.reconstruct(
@@ -58,11 +70,32 @@ def numpy_lifecycle() -> dict[str, bytes]:
     return run_lifecycle()
 
 
+@pytest.fixture(scope="module")
+def tall_numpy_lifecycle() -> dict[str, bytes]:
+    return run_lifecycle("tall")
+
+
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
 def test_lifecycle_is_byte_identical_across_backends(backend, numpy_lifecycle):
     result = run_lifecycle()
     assert result.keys() == numpy_lifecycle.keys()
     for name, blob in numpy_lifecycle.items():
+        assert result[name] == blob, f"{name} differs under backend {backend!r}"
+
+
+def test_tall_lifecycle_takes_the_xor_path():
+    params, size = LIFECYCLES["tall"]
+    assert params.n_file >= kernels._XOR_MIN_ROWS
+    assert params.n_piece * params.total_pieces >= kernels._XOR_MIN_ROWS
+    # Two bytes per GF(2^16) element, n_file rows: the fragment length.
+    assert size // (2 * params.n_file) >= kernels._XOR_MIN_COLUMNS
+
+
+@pytest.mark.parametrize("backend", BACKENDS, indirect=True)
+def test_tall_lifecycle_is_byte_identical_across_backends(backend, tall_numpy_lifecycle):
+    result = run_lifecycle("tall")
+    assert result.keys() == tall_numpy_lifecycle.keys()
+    for name, blob in tall_numpy_lifecycle.items():
         assert result[name] == blob, f"{name} differs under backend {backend!r}"
 
 

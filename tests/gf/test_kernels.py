@@ -12,9 +12,16 @@ Three promises are pinned here:
    the ``log[0]`` sentinel unreachable on every kernel path.
 3. **Discipline** -- block sizes below 1 raise instead of silently
    returning zeros, wrong-dtype *and* same-dtype out-of-range operands
-   raise instead of wrapping or clipping, and the row-sharded product
-   is byte-identical for every worker count, on concurrent callers and
-   in a forked child, without spawning threads after its first use.
+   raise instead of wrapping or clipping, and the sharded product is
+   byte-identical for every worker count, on concurrent callers and in a
+   forked child, without spawning threads after its first use.
+
+Both paths of :func:`kernels.matmul` are held to all three: the
+table-driven XOR path from ``kernels._XOR_MIN_ROWS`` coefficient rows and
+``_XOR_MIN_COLUMNS`` data columns up, the log path below either
+(:class:`TestPathSelection` pins which runs where, and
+:class:`TestTallProductMemory` that the XOR path's memory stays within
+the log path's).
 """
 
 import os
@@ -22,6 +29,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import weakref
 
@@ -71,13 +79,15 @@ class TestExactness:
         assert np.array_equal(kernels._matmul_reference(field, a, b), expected)
 
     def test_odd_block_sizes_agree(self, field):
+        """``col_block`` bounds the column tile on both paths."""
         rng = np.random.default_rng(field.q)
-        a = field.random((13, 7), rng)
         b = field.random((7, 530), rng)
-        expected = kernels._matmul_reference(field, a, b)
-        for col_block in (1, 3, 256, 529, 530, 531, 1 << 20):
-            got = kernels.matmul(field, a, b, col_block=col_block)
-            assert np.array_equal(got, expected), col_block
+        for m in (13, kernels._XOR_MIN_ROWS):
+            a = field.random((m, 7), rng)
+            expected = kernels._matmul_reference(field, a, b)
+            for col_block in (1, 3, 256, 529, 530, 531, 1 << 20):
+                got = kernels.matmul(field, a, b, col_block=col_block)
+                assert np.array_equal(got, expected), (m, col_block)
 
     @pytest.mark.parametrize("rows_per_step", [1, 2, 5])
     def test_chunk_and_tile_boundaries(self, field, rows_per_step):
@@ -88,8 +98,9 @@ class TestExactness:
         assert tile <= kernels.DEFAULT_COL_BLOCK
         rng = np.random.default_rng(field.q + rows_per_step)
         for n in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1):
+            # The last m takes the XOR path, whose own tile is narrower.
             for m in {max(rows_per_step - 1, 1), rows_per_step, rows_per_step + 1,
-                      2 * rows_per_step, 2 * rows_per_step + 1}:
+                      2 * rows_per_step, 2 * rows_per_step + 1, kernels._XOR_MIN_ROWS}:
                 a = field.random((m, 2), rng)
                 b = field.random((2, n), rng)
                 got = kernels.matmul(field, a, b, col_block=tile)
@@ -112,6 +123,166 @@ class TestExactness:
         expected = kernels.matmul(field, a, x[:, None])[:, 0]
         assert np.array_equal(kernels.matvec(field, a, x), expected)
         assert np.array_equal(linalg.gf_matvec(field, a, x), expected)
+
+
+ROWS, COLUMNS = kernels._XOR_MIN_ROWS, kernels._XOR_MIN_COLUMNS
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestTallProducts:
+    """The XOR path: exact on every edge its tables and tiles have."""
+
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            (ROWS - 1, 5, COLUMNS + 1),  # the log path's last row count
+            (ROWS, 5, COLUMNS + 1),      # the XOR path's first
+            (ROWS + 1, 5, COLUMNS + 1),
+            (ROWS, 5, COLUMNS - 1),      # the log path's last column count
+            (ROWS, 5, COLUMNS),          # the XOR path's first
+            (ROWS, 3, COLUMNS),          # k q = 12, 24, 48: whole groups
+            (ROWS + 7, 1, COLUMNS + 9),  # one coefficient: one batch, padded
+            (ROWS, 2, 2 * kernels._XOR_TILE + 3),  # tiles not dividing n
+        ],
+    )
+    def test_matches_direct_reference(self, field, shape):
+        m, k, n = shape
+        rng = np.random.default_rng(m * 1000 + k * 100 + n + field.q)
+        a = field.random((m, k), rng)
+        b = field.random((k, n), rng)
+        expected = direct_matmul(field, a, b)
+        assert np.array_equal(kernels.matmul(field, a, b), expected)
+        assert np.array_equal(kernels._matmul_reference(field, a, b), expected)
+
+    def test_many_batches_with_a_ragged_last_group(self, field):
+        """k q spans several table batches and is not a multiple of the
+        group width, so the last group is part padding; zero and unit
+        coefficients, zero rows and zero columns are planted."""
+        g, batch = kernels._XOR_GROUP, kernels._XOR_BATCH
+        k = next(k for k in range(2 * batch * g // field.q, 10**3) if (k * field.q) % g)
+        m = max(ROWS, k + 2)
+        rng = np.random.default_rng(field.q)
+        a = field.random((m, k), rng)
+        a[:k] = field.eye(k)  # unit coefficients: output row j is data row j
+        a[k] = 0
+        a[k + 1] = 1
+        b = field.random((k, 301), rng)
+        b[:, 7] = 0
+        b[3] = 0
+        for col_block in (1 << 20, 64, 1):
+            out = kernels.matmul(field, a, b, col_block=col_block)
+            assert np.array_equal(out[:k], b)
+            assert not out[k].any() and not out[:, 7].any()
+            assert np.array_equal(out, kernels._matmul_reference(field, a, b)), col_block
+
+    def test_empty_dimensions(self, field):
+        for k, n in ((0, COLUMNS), (5, 0), (0, 0)):
+            out = kernels.matmul(field, field.ones((ROWS, k)), field.ones((k, n)))
+            assert out.shape == (ROWS, n) and not out.any()
+
+
+class TestPathSelection:
+    """The shape alone picks the path; ``workers`` and ``col_block`` keep
+    their meaning on both."""
+
+    def test_threshold_takes_the_xor_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the log path ran")
+
+        monkeypatch.setattr(kernels, "_accumulate", refuse)
+        field = GF(16)
+        rng = np.random.default_rng(1)
+        a = field.random((ROWS, 4), rng)
+        b = field.random((4, COLUMNS), rng)
+        assert np.array_equal(kernels.matmul(field, a, b), kernels._matmul_reference(field, a, b))
+
+    @pytest.mark.parametrize("m, n", [(ROWS - 1, COLUMNS), (ROWS, COLUMNS - 1)])
+    def test_below_threshold_takes_the_log_path(self, monkeypatch, m, n):
+        calls = []
+        real = kernels._accumulate
+
+        def counting(*args):
+            calls.append(args[1].shape)
+            real(*args)
+
+        monkeypatch.setattr(kernels, "_accumulate", counting)
+        field = GF(16)
+        rng = np.random.default_rng(2)
+        a = field.random((m, 4), rng)
+        b = field.random((4, n), rng)
+        assert np.array_equal(kernels.matmul(field, a, b), kernels._matmul_reference(field, a, b))
+        assert calls == [(m, n)]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_column_shards_partition_the_output(self, monkeypatch, workers):
+        """Shards own disjoint column ranges that cover every column, in
+        tiles no wider than ``col_block``: an overlap would still write
+        the right bytes, so the ranges themselves are checked."""
+        runs = []
+        real = kernels._run
+        monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)
+        monkeypatch.setattr(
+            kernels, "_run", lambda fn, arg_sets: (runs.append(arg_sets), real(fn, arg_sets))
+        )
+        field = GF(8)
+        rng = np.random.default_rng(workers)
+        a = field.random((ROWS, 3), rng)
+        b = field.random((3, 1001), rng)
+        got = kernels.matmul(field, a, b, workers=workers, col_block=100)
+        assert np.array_equal(got, kernels._matmul_reference(field, a, b))
+        (arg_sets,) = runs
+        assert len(arg_sets) == workers
+        ranges = [(args[4], args[5]) for args in arg_sets]
+        assert ranges[0][0] == 0 and ranges[-1][1] == 1001
+        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+        assert all(args[6] <= 100 for args in arg_sets)
+
+
+def _traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes allocated at the peak of ``fn(*args)``, over what was live."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestTallProductMemory:
+    """The XOR path's tables must not cost what its speed buys: on the
+    paper's encode shape its traced peak stays within 4 MiB of the log
+    path's on the same operands, and its shard bodies allocate no array
+    (numpy may take a fixed iterator buffer of some KiB per call)."""
+
+    @pytest.fixture(scope="class")
+    def encode(self):
+        field = GF(16)
+        rng = np.random.default_rng(33)
+        return field, field.random((640, 319), rng), field.random((319, 1644), rng)
+
+    def test_peak_within_the_log_paths_plus_4_mib(self, encode, monkeypatch):
+        field, a, b = encode
+        xor_out = kernels.matmul(field, a, b, workers=2)
+        xor_peak = _traced_peak(kernels.matmul, field, a, b, workers=2)
+        monkeypatch.setattr(kernels, "_XOR_MIN_ROWS", a.shape[0] + 1)
+        log_out = kernels.matmul(field, a, b, workers=2)
+        log_peak = _traced_peak(kernels.matmul, field, a, b, workers=2)
+        assert xor_out.tobytes() == log_out.tobytes()
+        assert xor_peak <= log_peak + (4 << 20), (xor_peak, log_peak)
+
+    def test_shard_bodies_allocate_no_array(self, encode, monkeypatch):
+        field, a, b = encode
+        runs = []
+        monkeypatch.setattr(kernels, "_run", lambda fn, arg_sets: runs.append((fn, arg_sets)))
+        kernels.matmul(field, a, b, workers=2)
+        ((fn, arg_sets),) = runs
+        assert fn is kernels._xor_columns
+        for args in arg_sets:
+            fn(*args)  # numpy's first-call caches are not the kernel's
+            acc = args[-1]  # (m, tile): no buffer that size may be made
+            assert acc.nbytes > 64 << 10
+            assert _traced_peak(fn, *args) < 64 << 10
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -233,6 +404,14 @@ def fan_out_operands(seed, m=8):
     return field, field.random((m, 31), rng), field.random((31, width), rng)
 
 
+def tall_operands(seed):
+    """A product on the XOR path, several of its tiles wide, the last ragged."""
+    field = GF(16)
+    rng = np.random.default_rng(seed)
+    width = 2 * kernels._XOR_TILE + 77
+    return field, field.random((kernels._XOR_MIN_ROWS + 3, 31), rng), field.random((31, width), rng)
+
+
 class _Untouchable:
     def __getattr__(self, name):
         raise AssertionError(f"the shard pool was used ({name})")
@@ -240,7 +419,7 @@ class _Untouchable:
 
 class TestSharded:
     def test_worker_count_invariance(self, fan_out):
-        """Disjoint row shards: the result is byte-identical for any
+        """Disjoint row shards of the log path: byte-identical for any
         worker count -- including more workers than rows -- so
         REPRO_GF_WORKERS can never change encodings."""
         for m in (8, 2):
@@ -251,6 +430,21 @@ class TestSharded:
                 assert got.tobytes() == expected.tobytes(), (m, workers)
                 sharded = kernels.matmul_sharded(field, a, b, workers=workers)
                 assert sharded.tobytes() == expected.tobytes(), (m, workers)
+
+    def test_tall_worker_count_invariance(self, fan_out):
+        """Column shards of the XOR path: byte-identical for any worker
+        count, uneven splits and more shards than tiles included."""
+        field, a, b = tall_operands(3)
+        expected = kernels._matmul_reference(field, a, b)
+        for workers in (1, 2, 3, 7):
+            got = kernels.matmul(field, a, b, workers=workers)
+            assert got.tobytes() == expected.tobytes(), workers
+
+    def test_tall_single_worker_never_touches_the_pool(self, fan_out, monkeypatch):
+        field, a, b = tall_operands(5)
+        expected = kernels._matmul_reference(field, a, b)
+        monkeypatch.setattr(kernels, "_POOL", _Untouchable())
+        assert kernels.matmul(field, a, b, workers=1).tobytes() == expected.tobytes()
 
     def test_narrow_data_does_not_shard(self, monkeypatch):
         """Below the threshold the product runs inline on the caller."""
@@ -270,11 +464,11 @@ class TestSharded:
         assert kernels.matmul(field, a, b).tobytes() == expected.tobytes()
 
     def test_no_thread_is_spawned_after_the_first_fan_out(self, fan_out, monkeypatch):
-        """The pool's threads are created once, not per call: a pool
-        built and joined inside each call would leave ``enumerate()``
-        alone too, so thread starts are counted as well."""
-        field, a, b = fan_out_operands(6)
-        first = kernels.matmul(field, a, b, workers=2)
+        """The pool's threads are created once, not per call, on either
+        path: a pool built and joined inside each call would leave
+        ``enumerate()`` alone too, so thread starts are counted as well."""
+        products = [fan_out_operands(6), tall_operands(6)]
+        firsts = [kernels.matmul(*operands, workers=2) for operands in products]
         before = set(threading.enumerate())
         started = []
         real_start = threading.Thread.start
@@ -285,7 +479,8 @@ class TestSharded:
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         for _ in range(20):
-            assert kernels.matmul(field, a, b, workers=2).tobytes() == first.tobytes()
+            for operands, first in zip(products, firsts):
+                assert kernels.matmul(*operands, workers=2).tobytes() == first.tobytes()
         assert started == []
         assert set(threading.enumerate()) - before == set()
 

@@ -287,6 +287,45 @@ class TestBlockedKernelProperties:
         assert (linalg.gf_matmul(field, a, b) == expected).all()
 
     @given(
+        m=st.integers(
+            min_value=kernels._XOR_MIN_ROWS - 2, max_value=kernels._XOR_MIN_ROWS + 2
+        ),
+        k=st.integers(min_value=0, max_value=7),
+        n=st.one_of(
+            st.integers(min_value=0, max_value=3),
+            st.integers(
+                min_value=kernels._XOR_MIN_COLUMNS - 2,
+                max_value=kernels._XOR_MIN_COLUMNS + 40,
+            ),
+        ),
+        batch=st.integers(min_value=1, max_value=4),
+        col_block=st.integers(min_value=1, max_value=50),
+        workers=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    def test_either_side_of_the_xor_threshold(
+        self, field, m, k, n, batch, col_block, workers, seed, data
+    ):
+        """Shapes straddling the XOR path's row and column thresholds
+        agree with the oracle, on both paths; its table batch is shrunk
+        so that small ``k q`` spans several batches, and the group width
+        rarely divides ``k q``."""
+        rng = np.random.default_rng(seed)
+        a = field.random((m, k), rng)
+        b = field.random((k, n), rng)
+        a[data.draw(st.integers(0, m - 1))] = 0
+        a[data.draw(st.integers(0, m - 1))] = 1
+        if n:
+            b[:, data.draw(st.integers(0, n - 1))] = 0
+        expected = kernels._matmul_reference(field, a, b)
+        with mock.patch.object(kernels, "_XOR_BATCH", batch), mock.patch.object(
+            kernels, "_MIN_SHARD_OPS", 1
+        ):
+            got = kernels.matmul(field, a, b, workers=workers, col_block=col_block)
+        assert got.tobytes() == expected.tobytes()
+
+    @given(
         m=st.integers(min_value=1, max_value=6),
         k=st.integers(min_value=1, max_value=6),
         n=st.integers(min_value=1, max_value=24),
