@@ -23,6 +23,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.core.integrity import ReconstructError
 from repro.gf.field import GaloisField
 
 __all__ = [
@@ -38,10 +39,6 @@ __all__ = [
 
 class RepairError(RuntimeError):
     """Raised when a repair is impossible with the surviving blocks."""
-
-
-class ReconstructError(RuntimeError):
-    """Raised when the supplied blocks cannot reconstruct the file."""
 
 
 @dataclasses.dataclass(frozen=True)

@@ -11,12 +11,14 @@ per-block SHA-256 digests: corrupted blocks are detected on read and
 treated as missing (they can then be repaired like any other loss).
 The digests live in the encoded object's metadata, mirroring how a real
 system would keep them in its (replicated) directory service.
+:func:`digest_bytes` and :class:`BlockCorruptionError` live in
+:mod:`repro.core.integrity`, shared with the on-disk blockstore, and are
+re-exported here.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any, Mapping
 
 import numpy as np
@@ -29,6 +31,7 @@ from repro.codes.base import (
     RepairError,
     RepairOutcome,
 )
+from repro.core.integrity import BlockCorruptionError, digest_bytes
 
 __all__ = [
     "BlockCorruptionError",
@@ -39,10 +42,6 @@ __all__ = [
 ]
 
 DIGEST_KEY = "block_digests"
-
-
-class BlockCorruptionError(ReconstructError):
-    """A block's content no longer matches its recorded digest."""
 
 
 def _content_bytes(content: Any) -> bytes:
@@ -58,16 +57,6 @@ def _content_bytes(content: Any) -> bytes:
             + np.ascontiguousarray(content.coefficients).tobytes()
         )
     raise TypeError(f"cannot checksum content of type {type(content).__name__}")
-
-
-def digest_bytes(data: bytes) -> str:
-    """SHA-256 hex digest of raw bytes (the system-wide content address).
-
-    Shared by the in-simulator :class:`ChecksummedScheme` and the on-disk
-    :class:`repro.net.blockstore.BlockStore`, so a piece has the same
-    identity whether it lives in a directory service or a blockstore.
-    """
-    return hashlib.sha256(data).hexdigest()
 
 
 def block_digest(block: Block) -> str:

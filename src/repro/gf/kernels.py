@@ -28,9 +28,13 @@ GF(2^16), on the 2-vCPU box the ledger runs on, by rows::
 
 The paper's encode (640 rows) and decode (319) take the XOR path.  No
 erasure-, bulk- or small-file-sized product has more than 64 rows, so
-those, every repair, and elimination in :mod:`repro.gf.linalg` keep the
-log path.  The row threshold is 128 rather than 96 because the log path
-gains more from a second worker (x1.5 against x1.2-1.3 on 2 vCPUs).
+those and every repair keep the log path.  Elimination in
+:mod:`repro.gf.linalg` applies its block updates through :func:`matmul`
+on stacks of 192 rows or more, and they take the path :func:`matmul`
+picks: the XOR path on the paper's 320 x 319 reconstruct stack.
+Smaller stacks eliminate without calling it.  The row threshold is 128
+rather than 96 because the log path gains more from a second worker
+(x1.5 against x1.2-1.3 on 2 vCPUs).
 
 The XOR path's cost has a part per numpy call, ``(2 + 2.7) k q / g``
 calls per tile, that narrow data does not amortise, and it copies table

@@ -7,10 +7,10 @@ Layout under the store root::
 
 Pieces are *content-addressed*: the object file name is the SHA-256 of
 its bytes (shared with the simulator's directory service through
-:func:`repro.codes.integrity.digest_bytes`), so identical pieces
+:func:`repro.core.integrity.digest_bytes`), so identical pieces
 deduplicate and a corrupted object can never masquerade as the piece a
 ref points to.  Every read recomputes the digest and raises
-:class:`repro.codes.integrity.BlockCorruptionError` on mismatch -- the
+:class:`repro.core.integrity.BlockCorruptionError` on mismatch -- the
 daemon maps that to a typed CORRUPT error so the coordinator treats the
 peer's copy as lost and repairs it like any other failure.
 
@@ -32,7 +32,7 @@ import os
 import pathlib
 import tempfile
 
-from repro.codes.integrity import BlockCorruptionError, digest_bytes
+from repro.core.integrity import BlockCorruptionError, digest_bytes
 from repro.obs import MetricsRegistry, now_ns
 
 __all__ = ["BlockStore", "BlockCorruptionError"]

@@ -1,12 +1,92 @@
 """Tests for GF linear algebra: the paper's second primitive (section 4.2)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf import linalg
-from repro.gf.field import GF
+from repro.gf import kernels, linalg
+from repro.gf.field import _CHUNK, GF
+
+
+def _clear_pivot_unblocked(field, work, index, pivot, lo, hi):
+    """The elimination step as it was before blocking, kept verbatim."""
+    window = work[:, lo:hi]
+    row = window[index]
+    row[:] = field.multiply(field.inverse_elements(work[index, pivot]), row)
+    log_row = np.take(field._log0, row)
+    log_col = np.take(field._log0, work[:, pivot])
+    log_col[index] = field._log_sentinel  # the pivot row itself stays
+    width = hi - lo
+    step = min(len(window), max(1, _CHUNK // width))
+    idx = np.empty((step, width), dtype=np.int32)
+    prod = np.empty((step, width), dtype=field.dtype)
+    for start in range(0, len(window), step):
+        acc = window[start : start + step]
+        factors = log_col[start : start + step]
+        field._xor_outer(acc, factors, log_row, idx[: len(acc)], prod[: len(acc)])
+
+
+def extract_unblocked(field, a, count, track):
+    """The oracle: ``linalg._extract`` before blocking -- every pivot
+    cleared from every row at once, selected rows left where they are.
+    Returns what ``_extract`` returns."""
+    a = field.asarray(a)
+    rows, cols = a.shape
+    target = cols if count is None else count
+    if target > cols:
+        raise linalg.LinAlgError(f"cannot extract {target} independent rows from {cols} columns")
+    work = field.zeros((rows, cols + target if track else cols))
+    work[:, :cols] = a
+    is_pivot = np.zeros(cols + 1, dtype=bool)
+    lo = 0
+    pivot_cols = []
+    selected = []
+    for index in range(rows):
+        if len(selected) == target:
+            break
+        nonzero = np.flatnonzero(work[index, lo:cols])
+        if nonzero.size == 0:
+            continue
+        pivot = lo + int(nonzero[0])
+        hi = cols
+        if track:
+            work[index, cols + len(selected)] = 1  # tracks "1 x this row"
+            hi = cols + len(selected) + 1
+        _clear_pivot_unblocked(field, work, index, pivot, lo, hi)
+        pivot_cols.append(pivot)
+        selected.append(index)
+        is_pivot[pivot] = True
+        while is_pivot[lo]:  # the extra entry stops this at ``cols``
+            lo += 1
+    return selected, pivot_cols, work[selected, :cols], work[selected, cols:]
+
+
+def assert_matches_unblocked(field, a, count=None):
+    """``_extract`` and ``extract_and_invert`` agree with the oracle byte
+    for byte, and raise where it runs short of ``count`` rows."""
+    if count is not None and len(extract_unblocked(field, a, count, False)[0]) < count:
+        with pytest.raises(linalg.LinAlgError, match="cannot extract"):
+            linalg._extract(field, a, count, False)
+        count = None
+    for track in (False, True):
+        want = extract_unblocked(field, a, count, track)
+        got = linalg._extract(field, a, count, track)
+        assert got[:2] == want[:2]
+        for got_block, want_block in zip(got[2:], want[2:]):
+            assert got_block.shape == want_block.shape
+            assert got_block.tobytes() == want_block.tobytes()
+    selected, pivots, _, tracking = want
+    if len(selected) < tracking.shape[1]:
+        with pytest.raises(linalg.LinAlgError, match="cannot extract"):
+            linalg.extract_and_invert(field, a, count)
+    else:
+        chosen, inverse = linalg.extract_and_invert(field, a, count)
+        assert chosen == selected
+        assert inverse.tobytes() == tracking[np.argsort(pivots)].tobytes()
+    return want
 
 
 class TestMatmul:
@@ -231,3 +311,154 @@ class TestPropertyBased:
         matrix = field.random((rows, 4), rng)
         selected = linalg.extract_independent_rows(field, matrix)
         assert len(selected) == linalg.rank(field, matrix)
+
+
+CROSSOVER = linalg._BLOCKED_MIN_ROWS
+BLOCK = linalg._BLOCK_ROWS
+
+
+class TestBlockedExtraction:
+    """The blocked elimination against the unblocked oracle, at its real
+    constants: block edges, the crossover and planted dependencies."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [CROSSOVER - 1, CROSSOVER, CROSSOVER + 1, CROSSOVER + BLOCK - 1, CROSSOVER + BLOCK + 1],
+    )
+    def test_row_counts_around_the_crossover_and_block_edges(self, any_field, rng, rows):
+        assert_matches_unblocked(any_field, any_field.random((rows, rows - 1), rng))
+
+    def test_dependent_rows_at_block_edges(self, any_field, rng):
+        field = any_field
+        a = field.random((CROSSOVER + BLOCK, CROSSOVER - 8), rng)
+        # First and last row of the second block: combinations of rows
+        # from the first block and from their own.
+        a[BLOCK] = field.add(a[0], field.multiply(3, a[5]))
+        a[2 * BLOCK - 1] = field.add(field.multiply(7, a[BLOCK + 2]), a[1])
+        selected = assert_matches_unblocked(field, a)[0]
+        assert BLOCK not in selected and 2 * BLOCK - 1 not in selected
+
+    def test_duplicate_rows_straddle_blocks_and_zero_rows(self, any_field, rng):
+        field = any_field
+        a = field.random((CROSSOVER + BLOCK, CROSSOVER), rng)
+        a[BLOCK] = a[BLOCK - 1]
+        a[3 * BLOCK] = field.multiply(2, a[BLOCK - 2])
+        a[0] = 0
+        a[2 * BLOCK] = 0
+        selected = assert_matches_unblocked(field, a)[0]
+        assert not {0, BLOCK, 2 * BLOCK, 3 * BLOCK} & set(selected)
+
+    @pytest.mark.parametrize("count", [BLOCK // 2, BLOCK, BLOCK + BLOCK // 2, 3 * BLOCK + 1])
+    def test_count_below_columns(self, any_field, rng, count):
+        """The target is reached inside a block, at its end, or later: the
+        rows selected before the block still take its pivots."""
+        tall = any_field.random((CROSSOVER + 8, CROSSOVER), rng)
+        assert_matches_unblocked(any_field, tall, count)
+
+    @pytest.mark.parametrize("count", [None, CROSSOVER])
+    def test_fewer_rows_than_columns(self, any_field, rng, count):
+        wide = any_field.random((CROSSOVER, CROSSOVER + 40), rng)
+        assert_matches_unblocked(any_field, wide, count)
+
+    def test_rank_deficient_input_raises(self, any_field, rng):
+        field = any_field
+        basis = field.random((100, CROSSOVER - 40), rng)
+        a = linalg.gf_matmul(field, field.random((CROSSOVER + 20, 100), rng), basis)
+        selected = assert_matches_unblocked(field, a)[0]
+        assert len(selected) <= 100
+        with pytest.raises(linalg.LinAlgError, match="cannot extract"):
+            linalg.extract_independent_rows(field, a, CROSSOVER - 40)
+        assert linalg.rank(field, a) == len(selected)
+
+    def test_public_functions_at_table_one_size(self, gf65536, rng):
+        """rref, rank, inverse and solve are the oracle's selection, sorted."""
+        field = gf65536
+        n = CROSSOVER + 8
+        a = field.random((n, n), rng)
+        selected, pivots, reduced, tracking = extract_unblocked(field, a, None, True)
+        assert len(selected) == n  # fails w.p. ~2^-16
+        order = np.argsort(pivots)
+        inverse = linalg.inverse(field, a)
+        assert inverse.tobytes() == tracking[order].tobytes()
+        assert (linalg.gf_matmul(field, a, inverse) == field.eye(n)).all()
+        x = field.random(n, rng)
+        assert linalg.solve(field, a, linalg.gf_matvec(field, a, x)).tobytes() == x.tobytes()
+        assert linalg.rank(field, a) == n and linalg.is_invertible(field, a)
+        tall = np.concatenate([a[: n // 2], a[: n // 2], field.random((n // 2, n), rng)])
+        selected, pivots, reduced, _ = extract_unblocked(field, tall, None, False)
+        echelon, pivot_cols = linalg.rref(field, tall)
+        want = field.zeros(tall.shape)
+        want[: len(pivots)] = reduced[np.argsort(pivots)]
+        assert pivot_cols == sorted(pivots)
+        assert echelon.tobytes() == want.tobytes()
+
+
+class TestBlockedPaths:
+    """Which kernel the blocked elimination reaches, how many threads run
+    it, and what it holds in memory."""
+
+    def test_below_the_crossover_matmul_is_never_called(self, gf65536, rng, monkeypatch):
+        def no_product(*args, **kwargs):
+            raise AssertionError("kernels.matmul called below the crossover")
+
+        monkeypatch.setattr(kernels, "matmul", no_product)
+        field = gf65536
+        tall = field.random((CROSSOVER - 1, CROSSOVER - 2), rng)
+        square = field.random((CROSSOVER - 1, CROSSOVER - 1), rng)
+        linalg.extract_and_invert(field, tall)
+        linalg.extract_independent_rows(field, tall)
+        linalg.rank(field, tall)
+        linalg.rref(field, tall)
+        linalg.inverse(field, square)
+
+    def test_paper_stack_products_take_the_xor_path(self, gf65536, rng, monkeypatch):
+        """On the paper's 320 x 319 reconstruct stack every block product
+        of the plan's ``extract_and_invert`` is tall and wide enough for
+        the row-XOR path."""
+        shapes = []
+        matmul = kernels.matmul
+
+        def recording(field, a, b, **kwargs):
+            shapes.append((a.shape[0], b.shape[1]))
+            return matmul(field, a, b, **kwargs)
+
+        field = gf65536
+        a = field.random((320, 319), rng)
+        selected, pivots, _, tracking = extract_unblocked(field, a, None, True)
+        monkeypatch.setattr(kernels, "matmul", recording)
+        chosen, inverse = linalg.extract_and_invert(field, a)
+        assert chosen == selected
+        assert inverse.tobytes() == tracking[np.argsort(pivots)].tobytes()
+        assert len(shapes) == -(-len(a) // BLOCK)  # one per block
+
+        for rows, columns in shapes:
+            assert rows >= kernels._XOR_MIN_ROWS
+            assert columns >= kernels._XOR_MIN_COLUMNS
+
+    def test_byte_identical_for_any_worker_count(self, gf65536, rng, monkeypatch):
+        field = gf65536
+        a = field.random((CROSSOVER + BLOCK + 5, CROSSOVER + 3), rng)
+        want = extract_unblocked(field, a, None, True)
+        monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)  # every product fans out
+        for workers in (1, 2, 3, 7):
+            monkeypatch.setenv(kernels.WORKERS_ENV, str(workers))
+            got = linalg._extract(field, a, None, True)
+            assert got[:2] == want[:2]
+            assert got[3].tobytes() == want[3].tobytes()
+
+    def test_memory_peak_stays_near_the_unblocked_one(self, gf65536, rng):
+        field = gf65536
+        a = field.random((320, 319), rng)
+        linalg.extract_and_invert(field, a)  # warm-up: kernel pool, tables
+
+        def peak(extract):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                extract(field, a, None, True)
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        assert peak(linalg._extract) <= peak(extract_unblocked) + (4 << 20)

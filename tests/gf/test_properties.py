@@ -18,6 +18,7 @@ from hypothesis import assume, given, strategies as st
 
 from repro.gf import kernels, linalg
 from repro.gf.field import GF
+from tests.gf.test_linalg import assert_matches_unblocked, extract_unblocked
 
 pytestmark = pytest.mark.property
 
@@ -225,6 +226,44 @@ class TestStructuredExtraction:
         # ... which is the identity -- fused is the inverse -- when square.
         if count == cols:
             assert (reduced == field.eye(cols)).all()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f"GF(2^{f.q})")
+class TestBlockedExtraction:
+    """The blocked elimination against the unblocked oracle with its
+    block size and crossover shrunk, so hypothesis-sized stacks cross
+    many blocks: planted zero and dependent rows land at block edges,
+    the target is met mid-block, and the block products take either
+    kernel path (the XOR path's thresholds are shrunk in half the
+    examples)."""
+
+    @given(
+        cols=st.integers(min_value=1, max_value=8),
+        extra=st.integers(min_value=-3, max_value=30),
+        block=st.integers(min_value=1, max_value=6),
+        crossover=st.integers(min_value=0, max_value=12),
+        xor_path=st.booleans(),
+        data=st.data(),
+    )
+    def test_blocked_matches_unblocked(self, field, cols, extra, block, crossover, xor_path, data):
+        rows = max(0, cols + extra)
+        tall = data.draw(matrices(field, rows, cols))
+        for position in data.draw(st.lists(st.integers(0, rows - 1), max_size=4)) if rows else []:
+            source = tall[data.draw(st.integers(0, rows - 1))]
+            tall[position] = field.multiply_direct(data.draw(elements(field)), source)
+        count = data.draw(st.one_of(st.none(), st.integers(min_value=0, max_value=cols)))
+        with mock.patch.object(linalg, "_BLOCK_ROWS", block), mock.patch.object(
+            linalg, "_BLOCKED_MIN_ROWS", crossover
+        ), mock.patch.object(kernels, "_XOR_MIN_ROWS", 1 if xor_path else 10**9), mock.patch.object(
+            kernels, "_XOR_MIN_COLUMNS", 1
+        ):
+            assert_matches_unblocked(field, tall, count)
+            _, pivots, reduced, _ = extract_unblocked(field, tall, None, False)
+            echelon, pivot_cols = linalg.rref(field, tall)
+            assert pivot_cols == sorted(pivots)
+            assert (echelon[: len(pivots)] == reduced[np.argsort(pivots)]).all()
+            assert not echelon[len(pivots) :].any()
+            assert linalg.rank(field, tall) == len(pivots) == direct_rank(field, tall)
 
 
 def naive_matmul(field, a, b):

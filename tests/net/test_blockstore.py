@@ -5,7 +5,7 @@ import shutil
 
 import pytest
 
-from repro.codes.integrity import BlockCorruptionError, digest_bytes
+from repro.core.integrity import BlockCorruptionError, digest_bytes
 from repro.net.blockstore import BlockStore
 
 
@@ -78,10 +78,13 @@ class TestCorruption:
             store.get("a/0")
 
     def test_corruption_error_is_the_integrity_modules(self, store):
-        """The store reuses repro.codes.integrity's exception type, so a
-        daemon and the simulator report corruption identically."""
+        """The store raises the exception type repro.codes.integrity
+        re-exports, so a daemon and the simulator report corruption
+        identically."""
+        from repro.codes import integrity
         from repro.codes.base import ReconstructError
 
+        assert integrity.BlockCorruptionError is BlockCorruptionError
         store.put("a/0", b"x")
         self._corrupt_object(store, "a/0")
         with pytest.raises(ReconstructError):
