@@ -38,7 +38,6 @@ STORM_PARAMS = RCParams(2, 2, 3, 1)
 STORM_PEERS = 4
 STORM_FILE_BYTES = 1024
 STORM_OPS = 100
-POOL_SIZE = 4
 
 
 async def _storm(root: Path, ops: int, obs_enabled: bool) -> dict:
@@ -60,7 +59,6 @@ async def _storm(root: Path, ops: int, obs_enabled: bool) -> dict:
         Coordinator(
             STORM_PARAMS,
             rng=np.random.default_rng(13),
-            pool_size=POOL_SIZE,
             registry=MetricsRegistry(enabled=obs_enabled),
         ) as coordinator,
     ):

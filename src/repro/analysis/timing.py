@@ -34,7 +34,10 @@ import numpy as np
 from repro.core.bandwidth import Operation
 from repro.core.costs import CostModel
 from repro.core.params import RCParams
-from repro.core.regenerating import RandomLinearRegeneratingCode
+from repro.core.regenerating import (
+    RandomLinearRegeneratingCode,
+    participant_contribution,
+)
 from repro.gf.field import GF, GaloisField
 
 __all__ = [
@@ -132,7 +135,8 @@ def time_operations(
         def do_participate():
             uploads.clear()
             uploads.extend(
-                code.participant_contribution(piece, rng) for piece in participants
+                participant_contribution(code.field, piece, rng)
+                for piece in participants
             )
 
         participant_time = _clock(do_participate, repeats) / params.d

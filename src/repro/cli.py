@@ -354,7 +354,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         BlockStore(args.root, fsync=not args.no_fsync),
         host=args.host,
         port=args.port,
-        max_concurrent=args.max_concurrent,
         rng=np.random.default_rng(args.seed),
         idle_timeout=args.idle_timeout if args.idle_timeout > 0 else None,
     )
@@ -362,8 +361,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     async def run() -> None:
         await daemon.start()
         print(
-            f"peer daemon serving {args.root} on {daemon.host}:{daemon.port} "
-            f"(max {args.max_concurrent} concurrent requests)",
+            f"peer daemon serving {args.root} on {daemon.host}:{daemon.port}",
             flush=True,
         )
         await daemon.serve_forever()
@@ -430,7 +428,6 @@ def cmd_net_put(args: argparse.Namespace) -> int:
         params,
         field=GF(args.q),
         rng=np.random.default_rng(args.seed),
-        pool_size=args.pool_size,
     )
     file_id = args.file_id or source.name
     try:
@@ -467,7 +464,7 @@ def cmd_net_repair(args: argparse.Namespace) -> int:
         )
     newcomer = _parse_peer(args.newcomer)
     coordinator = Coordinator.from_manifest(
-        manifest, rng=np.random.default_rng(args.seed), pool_size=args.pool_size
+        manifest, rng=np.random.default_rng(args.seed)
     )
     try:
         stats = _run_net_op(
@@ -497,7 +494,7 @@ def cmd_net_get(args: argparse.Namespace) -> int:
 
     manifest = _load_net_manifest(args.manifest)
     coordinator = Coordinator.from_manifest(
-        manifest, rng=np.random.default_rng(args.seed), pool_size=args.pool_size
+        manifest, rng=np.random.default_rng(args.seed)
     )
     try:
         data, stats = _run_net_op(coordinator, coordinator.reconstruct(manifest))
@@ -785,8 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=0,
                        help="TCP port (0 picks an ephemeral one)")
-    serve.add_argument("--max-concurrent", type=int, default=8,
-                       help="requests serviced simultaneously (link contention)")
     serve.add_argument("--seed", type=int, default=None,
                        help="seed for helper-side repair randomness")
     serve.add_argument("--idle-timeout", type=float, default=60.0,
@@ -823,10 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     net_put.add_argument("--file-id", default=None,
                          help="swarm-wide name (default: the file name)")
     net_put.add_argument("--seed", type=int, default=None)
-    net_put.add_argument("--pool-size", type=int, default=None,
-                         help="persistent connections kept per peer "
-                              "(0 = fresh connection per request; default "
-                              "from REPRO_NET_POOL_SIZE or 4)")
     net_put.add_argument("--stats-json", default=None,
                          help="write the coordinator's metrics snapshot "
                               "(repro-obs-snapshot-v1 JSON) here after the "
@@ -839,18 +830,12 @@ def build_parser() -> argparse.ArgumentParser:
     net_repair.add_argument("--newcomer", required=True,
                             help="host:port of the peer receiving the new piece")
     net_repair.add_argument("--seed", type=int, default=None)
-    net_repair.add_argument("--pool-size", type=int, default=None,
-                            help="persistent connections kept per peer "
-                                 "(0 = fresh per request)")
     net_repair.set_defaults(handler=cmd_net_repair)
 
     net_get = net_sub.add_parser("get", help="reconstruct a file from the swarm")
     net_get.add_argument("--manifest", required=True)
     net_get.add_argument("--out", required=True)
     net_get.add_argument("--seed", type=int, default=None)
-    net_get.add_argument("--pool-size", type=int, default=None,
-                         help="persistent connections kept per peer "
-                              "(0 = fresh per request)")
     net_get.set_defaults(handler=cmd_net_get)
 
     scenario = subparsers.add_parser(

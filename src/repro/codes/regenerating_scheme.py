@@ -23,7 +23,11 @@ from repro.codes.base import (
 )
 from repro.core.blocks import Piece
 from repro.core.params import RCParams
-from repro.core.regenerating import DecodingError, RandomLinearRegeneratingCode
+from repro.core.regenerating import (
+    DecodingError,
+    RandomLinearRegeneratingCode,
+    participant_contribution,
+)
 from repro.gf.field import GaloisField
 
 __all__ = ["RegeneratingCodeScheme"]
@@ -144,7 +148,10 @@ class RegeneratingCodeScheme(RedundancyScheme):
     ) -> RepairOutcome:
         participants = self._repair_participants(available, lost_index)
         pieces = [available[index].content for index in participants]
-        uploads = [self.code.participant_contribution(piece) for piece in pieces]
+        uploads = [
+            participant_contribution(self.field, piece, self.code.rng)
+            for piece in pieces
+        ]
         new_piece = self.code.newcomer_repair(uploads, lost_index)
         uploaded = {
             index: fragment.wire_bytes(self.field)

@@ -27,6 +27,7 @@ from repro.core.regenerating import (
     DecodingError,
     RandomLinearRegeneratingCode,
     ReconstructionPlan,
+    participant_contribution,
 )
 from repro.core.serialization import (
     SerializationError,
@@ -56,6 +57,7 @@ __all__ = [
     "fragment_from_bytes",
     "fragment_to_bytes",
     "operation_data_sizes",
+    "participant_contribution",
     "piece_from_bytes",
     "piece_to_bytes",
 ]

@@ -37,7 +37,25 @@ __all__ = [
     "RandomLinearRegeneratingCode",
     "ReconstructionPlan",
     "RepairResult",
+    "participant_contribution",
 ]
+
+
+def participant_contribution(
+    field: GaloisField, piece: Piece, rng: np.random.Generator
+) -> Fragment:
+    """One participant's upload: a random combination of its fragments.
+
+    Runs on each of the d live peers (fig. 2a) -- in :mod:`repro.net`, on
+    the helper daemon answering REPAIR_READ.  Draws ``n_piece`` mixing
+    coefficients from ``rng``, then applies them to the piece's data and
+    coefficient rows: one linear combination of n_piece fragments (eq. E6).
+    """
+    mixing = field.random(piece.n_piece, rng)
+    return Fragment(
+        data=field.linear_combination(mixing, piece.data),
+        coefficients=field.linear_combination(mixing, piece.coefficients),
+    )
 
 
 class DecodingError(RuntimeError):
@@ -173,21 +191,6 @@ class RandomLinearRegeneratingCode:
     # maintenance
     # ------------------------------------------------------------------
 
-    def participant_contribution(
-        self, piece: Piece, rng: np.random.Generator | None = None
-    ) -> Fragment:
-        """One participant's upload: a random combination of its fragments.
-
-        Runs on each of the d live peers (fig. 2a); costs one linear
-        combination of n_piece fragments (eq. E6).
-        """
-        rng = rng if rng is not None else self.rng
-        mixing = self.field.random(piece.n_piece, rng)
-        return Fragment(
-            data=self.field.linear_combination(mixing, piece.data),
-            coefficients=self.field.linear_combination(mixing, piece.coefficients),
-        )
-
     def newcomer_repair(
         self,
         contributions: list[Fragment],
@@ -235,7 +238,9 @@ class RandomLinearRegeneratingCode:
                 f"got {len(participants)}"
             )
         rng = rng if rng is not None else self.rng
-        uploads = tuple(self.participant_contribution(piece, rng) for piece in participants)
+        uploads = tuple(
+            participant_contribution(self.field, piece, rng) for piece in participants
+        )
         piece = self.newcomer_repair(list(uploads), index, rng)
         payload = sum(fragment.data_bytes(self.field) for fragment in uploads)
         coefficients = sum(fragment.coefficient_bytes(self.field) for fragment in uploads)

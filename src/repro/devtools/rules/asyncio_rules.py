@@ -161,10 +161,8 @@ class LockAcrossNetworkAwaitRule(Rule):
     """RL103: a lock/semaphore held across an await of network I/O.
 
     One slow or stalled peer inside the critical section serializes
-    every other coroutine queued on the primitive -- the daemon's
-    link-contention bound exists precisely so this never needs to
-    happen.  Compute first or copy state out, then talk to the network
-    outside the ``async with``.
+    every other coroutine queued on the primitive.  Compute first or
+    copy state out, then talk to the network outside the ``async with``.
     """
 
     code = "RL103"

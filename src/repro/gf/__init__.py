@@ -11,8 +11,9 @@ substrate:
 - :mod:`repro.gf.linalg` -- linear algebra over the field (matrix product,
   inversion, rank, and the independent-row extraction used during
   reconstruction).
-- :mod:`repro.gf.polynomial` -- polynomials over the field, used by the
-  Reed-Solomon baseline.
+- :mod:`repro.gf.polynomial` -- polynomials over the field.  No coding
+  path uses them (the Reed-Solomon baseline decodes through
+  :mod:`repro.gf.linalg`); its tests use interpolation as an oracle.
 """
 
 from repro.gf import kernels

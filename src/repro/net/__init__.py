@@ -9,11 +9,11 @@ insertion, maintenance, and reconstruction against live peers.
   (STORE_PIECE, GET_PIECE, GET_ROWS, REPAIR_READ, PING, ERROR);
 - :mod:`repro.net.blockstore` -- SHA-256 content-addressed piece store;
 - :mod:`repro.net.server` -- :class:`PeerDaemon`, with helper-side
-  repair encoding and a concurrency bound per peer;
+  repair encoding and one request dispatched at a time per peer;
 - :mod:`repro.net.client` -- :class:`PeerClient`, timeouts plus
   exponential-backoff retry over pooled persistent connections;
 - :mod:`repro.net.pool` -- :class:`ConnectionPool`, up to N health-
-  checked streams per peer (``pool_size=0`` restores fresh-per-request);
+  checked streams per peer;
 - :mod:`repro.net.coordinator` -- insert / repair / reconstruct with
   dead-helper substitution and coefficient-first downloads;
 - :mod:`repro.net.cluster` -- :class:`LocalCluster` for tests & demos;

@@ -1,13 +1,10 @@
 """The peer client: pooled connections, timeouts, retries, typed requests.
 
 One :class:`PeerClient` talks to one daemon.  Requests ride on a
-:class:`~repro.net.pool.ConnectionPool` of up to ``pool_size``
-persistent streams, so a burst of small messages (reconstruction's
+:class:`~repro.net.pool.ConnectionPool` of up to ``DEFAULT_POOL_SIZE``
+(4) persistent streams, so a burst of small messages (reconstruction's
 per-piece GET_ROWS, a multi-chunk insert storm) pays the TCP connect
-round-trip once per stream instead of once per message.  ``pool_size=0``
-restores the historical fresh-connection-per-request transport; the
-default comes from the ``REPRO_NET_POOL_SIZE`` environment variable
-(fallback 4) so whole test suites can be flipped between modes.
+round-trip once per stream instead of once per message.
 
 Pooled streams introduce one new failure shape: the daemon may close a
 connection *between* our requests (restart, idle reaping), so the first
@@ -45,7 +42,6 @@ that drops a pool loses no count.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 
 import numpy as np
@@ -77,19 +73,14 @@ from repro.obs import SNAPSHOT_FORMAT, MetricsRegistry, now_ns
 
 __all__ = ["PeerClient", "RetryPolicy", "DEFAULT_POOL_SIZE", "default_pool_size"]
 
-#: Streams kept per peer when neither the constructor nor the
-#: ``REPRO_NET_POOL_SIZE`` environment variable says otherwise.
+#: Streams a client keeps per peer; also its bound on concurrent
+#: requests to that peer.
 DEFAULT_POOL_SIZE = 4
 
 
 def default_pool_size() -> int:
-    """Pool size from ``REPRO_NET_POOL_SIZE`` (0 = fresh connections)."""
-    raw = os.environ.get("REPRO_NET_POOL_SIZE", "")
-    try:
-        size = int(raw)
-    except ValueError:
-        return DEFAULT_POOL_SIZE
-    return size if size >= 0 else DEFAULT_POOL_SIZE
+    """The streams every client keeps per peer (:data:`DEFAULT_POOL_SIZE`)."""
+    return DEFAULT_POOL_SIZE
 
 
 class RetryPolicy:
@@ -147,7 +138,6 @@ class PeerClient:
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
         fault_scope: str | None = None,
-        pool_size: int | None = None,
         pool_idle_timeout: float = 30.0,
         registry: MetricsRegistry | None = None,
     ):
@@ -158,7 +148,6 @@ class PeerClient:
         self.retry = retry if retry is not None else RetryPolicy()
         self.fault_plan = fault_plan
         self.fault_scope = fault_scope
-        self.pool_size = pool_size if pool_size is not None else default_pool_size()
         self.pool_idle_timeout = pool_idle_timeout
         # The pool binds to the running event loop (its semaphore does),
         # so it is created lazily on first request and rebuilt if the
@@ -187,7 +176,7 @@ class PeerClient:
         return self._pool
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"PeerClient({self.host}:{self.port}, pool_size={self.pool_size})"
+        return f"PeerClient({self.host}:{self.port})"
 
     # ------------------------------------------------------------------
     # transport
@@ -201,7 +190,7 @@ class PeerClient:
             self._pool = ConnectionPool(
                 self.host,
                 self.port,
-                self.pool_size,
+                DEFAULT_POOL_SIZE,
                 connect_timeout=self.connect_timeout,
                 idle_timeout=self.pool_idle_timeout,
                 registry=self.obs,

@@ -49,7 +49,6 @@ class LocalCluster:
         self,
         peers: int,
         root,
-        max_concurrent: int = 8,
         seed: int | None = None,
         fault_plan: FaultPlan | None = None,
         fsync: bool = False,
@@ -57,7 +56,6 @@ class LocalCluster:
         if peers < 1:
             raise ValueError(f"a cluster needs at least one peer, got {peers}")
         self.root = pathlib.Path(root)
-        self.max_concurrent = max_concurrent
         self._seed = seed
         self.fault_plan = fault_plan
         # Local clusters hold disposable data: skip the blockstore's
@@ -78,7 +76,6 @@ class LocalCluster:
         )
         return PeerDaemon(
             store,
-            max_concurrent=self.max_concurrent,
             rng=rng,
             fault_plan=self.fault_plan,
             fault_scope=f"peer{number:02d}",

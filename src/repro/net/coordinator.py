@@ -255,7 +255,6 @@ class Coordinator:
         read_timeout: float = 30.0,
         retry: RetryPolicy | None = None,
         fault_plan: FaultPlan | None = None,
-        pool_size: int | None = None,
         registry: MetricsRegistry | None = None,
     ):
         self.code = RandomLinearRegeneratingCode(
@@ -267,9 +266,6 @@ class Coordinator:
         #: Optional fault plan handed to every client this coordinator
         #: opens (client-side injection; daemons hold their own hook).
         self.fault_plan = fault_plan
-        #: Streams each cached client keeps pooled (``None``: the
-        #: client's own default; ``0``: fresh connection per request).
-        self.pool_size = pool_size
         #: The obs registry every client (and its pool) shares with this
         #: coordinator, so :meth:`metrics_snapshot` covers the whole
         #: client-side stack.  Defaults to a fresh registry honouring
@@ -310,7 +306,6 @@ class Coordinator:
                 read_timeout=self.read_timeout,
                 retry=self.retry,
                 fault_plan=self.fault_plan,
-                pool_size=self.pool_size,
                 registry=self.obs,
             )
             self._clients[location] = client

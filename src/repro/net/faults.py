@@ -55,15 +55,14 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import struct
 from typing import Iterable
 
-__all__ = ["FaultKind", "FaultRule", "FaultEvent", "FaultPlan", "FRAME_HEADER_SIZE"]
+# Corruption and truncation never touch the frame header, so a sabotaged
+# frame still parses far enough to fail in the *payload* integrity
+# checks, like real bit rot.
+from repro.net.protocol import FRAME_HEADER_SIZE
 
-#: Size of the RGNP frame header; corruption and truncation never touch
-#: the first header byte span, so a sabotaged frame still parses far
-#: enough to fail in the *payload* integrity checks, like real bit rot.
-FRAME_HEADER_SIZE = struct.calcsize("<4sBBBBI")
+__all__ = ["FaultKind", "FaultRule", "FaultEvent", "FaultPlan"]
 
 
 class FaultKind(str, enum.Enum):

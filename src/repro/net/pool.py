@@ -14,17 +14,11 @@ once per message.  The pool is deliberately small and boring:
   seconds are closed on the next checkout/checkin instead of
   accumulating server-side file descriptors forever;
 - **bounded concurrency**: at most ``size`` streams exist at once; a
-  request beyond that waits for a checkin, mirroring the daemon's
-  ``max_concurrent`` bound on the other end of the wire;
+  request beyond that waits for a checkin;
 - **broken-stream eviction**: the caller returns a stream with
   ``discard=True`` whenever the conversation on it ended anywhere but
   cleanly (timeout, cut frame, injected fault) and the pool aborts it
   -- a suspect stream is never reused.
-
-``size=0`` disables pooling entirely: every :meth:`acquire` opens a
-fresh connection and every :meth:`release` closes it, which is exactly
-the pre-pooling transport (kept for A/B benchmarks and as a fallback
-for peers behind aggressive middleboxes).
 
 Each of those events -- a fresh connect, an idle checkout, an eviction,
 a reap -- is counted once, in the ``pool.connections_*_total{peer}``
@@ -79,15 +73,15 @@ class ConnectionPool:
         idle_timeout: float = 30.0,
         registry: MetricsRegistry | None = None,
     ):
-        if size < 0:
-            raise ValueError(f"pool size must be >= 0, got {size}")
+        if size < 1:
+            raise ValueError(f"pool size must be >= 1, got {size}")
         self.host = host
         self.port = port
         self.size = size
         self.connect_timeout = connect_timeout
         self.idle_timeout = idle_timeout
         self._idle: list[PooledConnection] = []
-        self._slots = asyncio.Semaphore(size) if size > 0 else None
+        self._slots = asyncio.Semaphore(size)
         self._closed = False
         #: Where the pool counts fresh connects, idle-list checkouts,
         #: unhealthy streams dropped at checkout and idle streams reaped,
@@ -98,10 +92,6 @@ class ConnectionPool:
         self._m_reused = self.obs.counter("pool.connections_reused_total", peer=peer)
         self._m_evicted = self.obs.counter("pool.connections_evicted_total", peer=peer)
         self._m_reaped = self.obs.counter("pool.connections_reaped_total", peer=peer)
-
-    @property
-    def pooling(self) -> bool:
-        return self.size > 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -120,8 +110,7 @@ class ConnectionPool:
         reused stream die and wants a connection that is provably new.
         Waits when all ``size`` streams are checked out.
         """
-        if self._slots is not None:
-            await self._slots.acquire()
+        await self._slots.acquire()
         try:
             if not fresh:
                 self.reap()
@@ -150,8 +139,7 @@ class ConnectionPool:
                 raise
             return conn
         except BaseException:
-            if self._slots is not None:
-                self._slots.release()
+            self._slots.release()
             raise
 
     def release(self, conn: PooledConnection, discard: bool = False) -> None:
@@ -159,7 +147,6 @@ class ConnectionPool:
         keep = (
             not discard
             and not self._closed
-            and self.pooling
             and len(self._idle) < self.size
             and conn.healthy()
         )
@@ -170,8 +157,7 @@ class ConnectionPool:
             self.reap()
         else:
             self._abort(conn)
-        if self._slots is not None:
-            self._slots.release()
+        self._slots.release()
 
     # ------------------------------------------------------------------
     # reaping and teardown
@@ -209,8 +195,8 @@ class ConnectionPool:
 
         The pool stays usable after close -- :meth:`acquire` simply
         opens fresh connections that are closed again on release -- so a
-        late retry against a closed coordinator degrades to the
-        fresh-connection transport instead of crashing.
+        late retry against a closed coordinator opens a fresh stream
+        instead of crashing.
         """
         self._closed = True
         idle, self._idle = self._idle, []

@@ -68,6 +68,7 @@ __all__ = [
     "PROTOCOL_MAGIC",
     "PROTOCOL_VERSION",
     "MAX_BODY_BYTES",
+    "FRAME_HEADER_SIZE",
     "WRITE_THROUGH_BYTES",
     "MessageType",
     "ErrorCode",
@@ -101,6 +102,8 @@ PROTOCOL_VERSION = 1
 MAX_BODY_BYTES = 1 << 28
 
 _FRAME = struct.Struct("<4sBBBBI")
+#: Bytes before every frame body: magic, version, type, flags, pad, length.
+FRAME_HEADER_SIZE = _FRAME.size
 _ROWS_HEADER = struct.Struct("<BBHII")
 
 #: GET_PIECE flag: return only the coefficient rows (l_frag = 0).

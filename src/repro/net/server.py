@@ -10,11 +10,9 @@ the paper's system model:
   downloads one coded fragment per helper instead of the helper's whole
   piece -- the entire point of Regenerating Codes, now enforced by the
   protocol rather than simulated.
-- **Link contention.**  A per-daemon semaphore bounds concurrently
-  serviced requests, which is the simulator's link-contention model
-  (``SimulationConfig.model_link_contention``) made real: a peer's
-  uplink serves a bounded number of transfers at a time and everything
-  else queues.
+- **One request stream per peer.**  A daemon dispatches one request at
+  a time and everything else queues, as a peer host serving its own
+  request stream does (see the dispatch lock below).
 
 Connections are **persistent**: the handler loops, serving any number of
 sequential requests per connection until the client closes it, a fault
@@ -28,7 +26,10 @@ shared by every daemon in the process: one thread per CPU the process
 may run on, however many daemons a :class:`~repro.net.cluster.LocalCluster`
 hosts.  Each daemon still dispatches one request at a time -- its
 blockstore, rng and per-opcode instruments rely on that -- through a
-per-daemon lock held on the loop until the dispatch has returned.
+per-daemon lock held on the loop until the dispatch has returned.  That
+lock is the daemon's one admission bound: requests from any number of
+connections wait for it in arrival order.  STATS alone skips it and
+runs inline on the loop.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ import threading
 
 import numpy as np
 
-from repro.core.blocks import Fragment, Piece
+from repro.core.blocks import Piece
+from repro.core.regenerating import participant_contribution
 from repro.core.serialization import (
     SerializationError,
     fragment_to_bytes,
@@ -127,9 +129,6 @@ class PeerDaemon:
     host, port:
         Bind address; ``port=0`` picks an ephemeral port (read the
         chosen one from :attr:`port` after :meth:`start`).
-    max_concurrent:
-        Requests serviced simultaneously; further requests queue on the
-        connection (the real-world link-contention bound).
     rng:
         Randomness for helper-side repair combinations.  Defaults to an
         OS-seeded generator; pass a seeded one for reproducible tests.
@@ -159,15 +158,12 @@ class PeerDaemon:
         store: BlockStore,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_concurrent: int = 8,
         rng: np.random.Generator | None = None,
         fault_plan: FaultPlan | None = None,
         fault_scope: str | None = None,
         idle_timeout: float | None = None,
         registry: MetricsRegistry | None = None,
     ):
-        if max_concurrent < 1:
-            raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         if idle_timeout is not None and idle_timeout <= 0:
             raise ValueError(f"idle_timeout must be positive, got {idle_timeout}")
         self.store = store
@@ -177,7 +173,6 @@ class PeerDaemon:
         self.fault_plan = fault_plan
         self.fault_scope = fault_scope
         self.idle_timeout = idle_timeout
-        self._semaphore = asyncio.Semaphore(max_concurrent)
         # Serializes start()/stop(): both read-then-rewrite the listener
         # and port across awaits, so concurrent lifecycle calls would
         # otherwise race (two listeners, half-torn shutdown).
@@ -355,25 +350,24 @@ class PeerDaemon:
                 if event is not None and event.kind is FaultKind.DROP:
                     break  # sever without answering
                 if event is not None and event.kind is FaultKind.DELAY:
-                    # Stall outside the semaphore: a slow peer must not
-                    # block its healthy transfers.
+                    # Stall before the dispatch lock: a slow peer must
+                    # not block its healthy transfers.
                     await asyncio.sleep(self.fault_plan.rule(event).delay)
-                async with self._semaphore:
-                    if isinstance(request, GetStats):
-                        # STATS snapshots the registry, whose dicts this
-                        # loop thread mutates -- it must not hop threads,
-                        # and it touches no disk and no GF kernel, so
-                        # running it inline cannot stall the loop.
-                        response = self._timed_dispatch(  # reprolint: disable=RL502
-                            request, parsed_ns
-                        )
-                    else:
-                        # Get-or-create the per-opcode instruments here:
-                        # registry creation is not thread-safe, so it
-                        # must happen on the loop thread; the dispatch
-                        # thread then only updates existing instruments.
-                        self._instruments(request)
-                        response = await self._dispatch_off_loop(request, parsed_ns)
+                if isinstance(request, GetStats):
+                    # STATS snapshots the registry, whose dicts this
+                    # loop thread mutates -- it must not hop threads,
+                    # and it touches no disk and no GF kernel, so
+                    # running it inline cannot stall the loop.
+                    response = self._timed_dispatch(  # reprolint: disable=RL502
+                        request, parsed_ns
+                    )
+                else:
+                    # Get-or-create the per-opcode instruments here:
+                    # registry creation is not thread-safe, so it must
+                    # happen on the loop thread; the dispatch thread
+                    # then only updates existing instruments.
+                    self._instruments(request)
+                    response = await self._dispatch_off_loop(request, parsed_ns)
                 if event is not None and event.kind is FaultKind.TRUNCATE:
                     frame = self.fault_plan.truncate_frame(
                         encode_message(response), event
@@ -456,10 +450,10 @@ class PeerDaemon:
         """Dispatch with its queue wait and compute time recorded per opcode.
 
         The queue wait runs from ``parsed_ns``, when the loop parsed the
-        request, to this call: any injected DELAY, the semaphore, this
-        daemon's dispatch lock and a free pool thread.  Runs on a dispatch thread (except STATS,
-        which stays on the loop); the caller pre-creates this opcode's
-        instruments so only updates happen here.
+        request, to this call: any injected DELAY, this daemon's dispatch
+        lock and a free pool thread.  Runs on a dispatch thread (except
+        STATS, which stays on the loop); the caller pre-creates this
+        opcode's instruments so only updates happen here.
         """
         if not self.obs.enabled:
             return self._dispatch(request)
@@ -550,17 +544,12 @@ class PeerDaemon:
     def _repair_read(self, request: RepairRead) -> Message:
         """The participant phase of maintenance, computed server-side.
 
-        Mirrors
-        :meth:`repro.core.regenerating.RandomLinearRegeneratingCode.participant_contribution`
-        without needing the code parameters: everything required is in
-        the stored piece itself.
+        Needs no code parameters: everything
+        :func:`~repro.core.regenerating.participant_contribution` uses is
+        in the stored piece itself.
         """
         piece, field = self._load_piece(request.key)
-        mixing = field.random(piece.n_piece, self.rng)
-        fragment = Fragment(
-            data=field.linear_combination(mixing, piece.data),
-            coefficients=field.linear_combination(mixing, piece.coefficients),
-        )
+        fragment = participant_contribution(field, piece, self.rng)
         return FragmentData(blob=fragment_to_bytes(fragment, field))
 
     def _get_stats(self, request: GetStats) -> Message:

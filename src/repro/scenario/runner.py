@@ -206,7 +206,6 @@ class ScenarioRunner:
         drain_windows: int = 3,
         repairs_per_window: int | None = None,
         read_timeout: float = 2.0,
-        pool_size: int | None = None,
     ):
         if ops_per_window < 0 or initial_files < 0 or drain_windows < 0:
             raise ValueError("ops_per_window/initial_files/drain_windows must be >= 0")
@@ -227,7 +226,6 @@ class ScenarioRunner:
         self.drain_windows = drain_windows
         self.repairs_per_window = repairs_per_window
         self.read_timeout = read_timeout
-        self.pool_size = pool_size
 
         self._files: list[_FileState] = []
         self._file_counter = 0
@@ -542,7 +540,6 @@ class ScenarioRunner:
             connect_timeout=2.0,
             read_timeout=self.read_timeout,
             fault_plan=plan,
-            pool_size=self.pool_size,
         )
         obs_begin = coordinator.metrics_snapshot()
         async with cluster, coordinator:

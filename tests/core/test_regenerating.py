@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.params import RCParams
-from repro.core.regenerating import DecodingError, RandomLinearRegeneratingCode
+from repro.core.regenerating import (
+    DecodingError,
+    RandomLinearRegeneratingCode,
+    participant_contribution,
+)
 from repro.gf.field import GF
 
 
@@ -159,7 +163,7 @@ class TestReconstructionPlan:
 class TestRepair:
     def test_participant_contribution_shape(self, code, payload):
         encoded = code.insert(payload)
-        fragment = code.participant_contribution(encoded.pieces[0])
+        fragment = participant_contribution(code.field, encoded.pieces[0], code.rng)
         assert fragment.length == encoded.fragment_length
         assert fragment.n_file == code.params.n_file
 
@@ -169,7 +173,7 @@ class TestRepair:
 
         encoded = code.insert(payload)
         piece = encoded.pieces[0]
-        fragment = code.participant_contribution(piece)
+        fragment = participant_contribution(code.field, piece, code.rng)
         stacked = np.concatenate([piece.coefficients, fragment.coefficients[None, :]])
         assert linalg.rank(code.field, stacked) == linalg.rank(
             code.field, piece.coefficients
@@ -177,7 +181,9 @@ class TestRepair:
 
     def test_newcomer_repair_needs_exactly_d(self, code, payload):
         encoded = code.insert(payload)
-        uploads = [code.participant_contribution(p) for p in encoded.pieces[:4]]
+        uploads = [
+            participant_contribution(code.field, p, code.rng) for p in encoded.pieces[:4]
+        ]
         with pytest.raises(ValueError):
             code.newcomer_repair(uploads, index=0)
 
@@ -216,7 +222,9 @@ class TestRepair:
         code = make_code(k=4, h=4, d=6, i=3, seed=5)
         assert code.params.newcomer_stores_verbatim
         encoded = code.insert(payload)
-        uploads = [code.participant_contribution(p) for p in encoded.pieces[:6]]
+        uploads = [
+            participant_contribution(code.field, p, code.rng) for p in encoded.pieces[:6]
+        ]
         piece = code.newcomer_repair(uploads, index=7)
         for row, upload in enumerate(uploads):
             assert np.all(piece.data[row] == upload.data)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.core.blocks import Fragment, Piece
 from repro.core.params import RCParams
-from repro.core.regenerating import RandomLinearRegeneratingCode
+from repro.core.regenerating import RandomLinearRegeneratingCode, participant_contribution
 from repro.core.serialization import (
     FORMAT_VERSION,
     HEADER_SIZE,
@@ -70,7 +70,7 @@ class TestPieceRoundtrip:
 
 class TestFragmentRoundtrip:
     def test_roundtrip(self, code, encoded):
-        fragment = code.participant_contribution(encoded.pieces[0])
+        fragment = participant_contribution(code.field, encoded.pieces[0], code.rng)
         blob = fragment_to_bytes(fragment, code.field)
         restored, field = fragment_from_bytes(blob)
         assert field == code.field
@@ -78,13 +78,15 @@ class TestFragmentRoundtrip:
         assert np.all(restored.coefficients == fragment.coefficients)
 
     def test_blob_size_matches_wire_accounting(self, code, encoded):
-        fragment = code.participant_contribution(encoded.pieces[0])
+        fragment = participant_contribution(code.field, encoded.pieces[0], code.rng)
         blob = fragment_to_bytes(fragment, code.field)
         assert len(blob) == HEADER_SIZE + fragment.wire_bytes(code.field)
 
     def test_deserialized_uploads_repair(self, code, encoded, sample_data):
         blobs = [
-            fragment_to_bytes(code.participant_contribution(piece), code.field)
+            fragment_to_bytes(
+                participant_contribution(code.field, piece, code.rng), code.field
+            )
             for piece in encoded.pieces[: code.params.d]
         ]
         uploads = [fragment_from_bytes(blob)[0] for blob in blobs]
@@ -170,7 +172,7 @@ class TestVersion1Compatibility:
         assert np.all(restored.coefficients == piece.coefficients)
 
     def test_v1_fragment_roundtrip(self, code, encoded):
-        fragment = code.participant_contribution(encoded.pieces[0])
+        fragment = participant_contribution(code.field, encoded.pieces[0], code.rng)
         v1_blob = self._downgrade(fragment_to_bytes(fragment, code.field))
         restored, _ = fragment_from_bytes(v1_blob)
         assert np.all(restored.data == fragment.data)
@@ -234,7 +236,7 @@ class TestZeroCopy:
             assert not array.flags.writeable
 
     def test_parsed_fragment_is_a_read_only_view_of_bytes(self, code, encoded):
-        fragment = code.participant_contribution(encoded.pieces[0])
+        fragment = participant_contribution(code.field, encoded.pieces[0], code.rng)
         blob = bytes(fragment_to_bytes(fragment, code.field))
         restored, _ = fragment_from_bytes(blob)
         for array in (restored.data, restored.coefficients):

@@ -102,12 +102,7 @@ SCENARIOS = {
 }
 
 
-#: Both transport modes must survive every scenario: pooled persistent
-#: streams (the default) and the fresh-connection-per-request fallback.
-POOL_MODES = pytest.mark.parametrize("pool_size", [0, 4], ids=["fresh", "pooled"])
-
-
-async def run_lifecycle(root, plan: FaultPlan, scenario: Scenario, pool_size: int):
+async def run_lifecycle(root, plan: FaultPlan, scenario: Scenario):
     """One full life cycle under ``plan``; returns the restored bytes."""
     async with (
         LocalCluster(PEERS, root, seed=5, fault_plan=plan) as cluster,
@@ -117,7 +112,6 @@ async def run_lifecycle(root, plan: FaultPlan, scenario: Scenario, pool_size: in
             retry=RetryPolicy(retries=2, backoff=0.01, jitter=0.0),
             read_timeout=0.2,
             fault_plan=plan,
-            pool_size=pool_size,
         ) as coordinator,
     ):
         stats = await coordinator.insert(DATA, cluster.addresses, "f")
@@ -129,7 +123,7 @@ async def run_lifecycle(root, plan: FaultPlan, scenario: Scenario, pool_size: in
         return restored
 
 
-def run_scenario(tmp_path, name, run_number=0, pool_size=4):
+def run_scenario(tmp_path, name, run_number=0):
     """Execute a named scenario once; returns (outcome, fault history).
 
     ``outcome`` is the restored bytes or the typed exception instance.
@@ -142,7 +136,7 @@ def run_scenario(tmp_path, name, run_number=0, pool_size=4):
     async def bounded():
         try:
             return await asyncio.wait_for(
-                run_lifecycle(root, plan, scenario, pool_size),
+                run_lifecycle(root, plan, scenario),
                 timeout=HARD_TIMEOUT,
             )
         except NetError as exc:
@@ -151,10 +145,9 @@ def run_scenario(tmp_path, name, run_number=0, pool_size=4):
     return asyncio.run(bounded()), plan.history()
 
 
-@POOL_MODES
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_ends_in_roundtrip_or_typed_error(tmp_path, name, pool_size):
-    outcome, history = run_scenario(tmp_path, name, pool_size=pool_size)
+def test_scenario_ends_in_roundtrip_or_typed_error(tmp_path, name):
+    outcome, history = run_scenario(tmp_path, name)
     assert history, "the fault plan never fired -- scenario tests nothing"
     expect = SCENARIOS[name].expect
     if expect == "roundtrip":
@@ -166,17 +159,12 @@ def test_scenario_ends_in_roundtrip_or_typed_error(tmp_path, name, pool_size):
         assert outcome == DATA or isinstance(outcome, NetError)
 
 
-@POOL_MODES
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_scenario_is_reproducible_from_its_seed(tmp_path, name, pool_size):
+def test_scenario_is_reproducible_from_its_seed(tmp_path, name):
     """Same seed, fresh cluster: the identical fault set fires and the
     outcome is identical -- the acceptance criterion of the fault layer."""
-    first_outcome, first_history = run_scenario(
-        tmp_path, name, run_number=0, pool_size=pool_size
-    )
-    second_outcome, second_history = run_scenario(
-        tmp_path, name, run_number=1, pool_size=pool_size
-    )
+    first_outcome, first_history = run_scenario(tmp_path, name, run_number=0)
+    second_outcome, second_history = run_scenario(tmp_path, name, run_number=1)
     assert first_history == second_history
     if isinstance(first_outcome, NetError):
         assert type(second_outcome) is type(first_outcome)

@@ -150,11 +150,6 @@ class TestClientCaching:
         assert coordinator.client(first) is coordinator.client(twin)
         assert coordinator.client(first) is not coordinator.client(other)
 
-    def test_pool_size_reaches_clients(self):
-        coordinator = Coordinator(PARAMS, pool_size=0)
-        client = coordinator.client(PeerAddress(host="127.0.0.1", port=9470))
-        assert client.pool_size == 0
-
     def test_aclose_empties_the_cache(self):
         coordinator = Coordinator(PARAMS)
         address = PeerAddress(host="127.0.0.1", port=9470)

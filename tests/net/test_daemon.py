@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from repro.core.params import RCParams
-from repro.core.regenerating import RandomLinearRegeneratingCode
+from repro.core.regenerating import RandomLinearRegeneratingCode, participant_contribution
 from repro.core.serialization import (
     fragment_from_bytes,
+    fragment_to_bytes,
     piece_from_bytes,
     piece_to_bytes,
 )
@@ -158,6 +159,21 @@ class TestRequests:
         # Distinct random combinations (overwhelmingly likely).
         assert not np.all(fragments[0].data == fragments[1].data)
 
+    def test_repair_read_is_the_core_participant_contribution(
+        self, tmp_path, code, encoded
+    ):
+        """A seeded daemon's REPAIR_READ fragment is, byte for byte, the
+        core participant combine drawing from the same seed."""
+        piece = encoded.pieces[2]
+
+        async def scenario(daemon, client):
+            await client.store_piece("f/2", piece_to_bytes(piece, code.field))
+            return await client.repair_read("f/2")
+
+        served = with_daemon(tmp_path, scenario)  # daemon rng seeded 42
+        expected = participant_contribution(code.field, piece, np.random.default_rng(42))
+        assert bytes(served) == bytes(fragment_to_bytes(expected, code.field))
+
     def test_repair_read_fragments_actually_repair(
         self, tmp_path, code, encoded, sample_data
     ):
@@ -178,27 +194,6 @@ class TestRequests:
         assert code.reconstruct(healed.subset([7, 0, 1, 2]), len(sample_data)) == sample_data
 
 
-class TestConcurrencyBound:
-    def test_semaphore_serializes_requests(self, tmp_path, code, encoded):
-        """With max_concurrent=1 parallel requests still all succeed --
-        they queue instead of racing."""
-        blob = piece_to_bytes(encoded.pieces[0], code.field)
-
-        async def scenario(daemon, client):
-            await client.store_piece("f/0", blob)
-            results = await asyncio.gather(
-                *(client.get_piece("f/0") for _ in range(10))
-            )
-            return results
-
-        results = with_daemon(tmp_path, scenario, max_concurrent=1)
-        assert all(result == blob for result in results)
-
-    def test_invalid_bound_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            PeerDaemon(BlockStore(tmp_path / "s"), max_concurrent=0)
-
-
 class TestPersistentConnections:
     def test_many_requests_ride_one_connection(self, tmp_path, code, encoded):
         """The daemon's request loop serves sequential requests without
@@ -212,7 +207,7 @@ class TestPersistentConnections:
             assert counted(daemon, "daemon.connections_total") == 1
             assert counted(daemon, "daemon.requests_total") == 6
 
-        with_daemon(tmp_path, scenario, client_kwargs={"pool_size": 2})
+        with_daemon(tmp_path, scenario)
 
     def test_idle_timeout_reaps_quiet_connections(self, tmp_path):
         """An idle persistent connection is closed server-side, and the
@@ -227,12 +222,7 @@ class TestPersistentConnections:
             # transparent reconnect, never a spent retry.
             assert counted(client, "client.failures_total") == 0
 
-        with_daemon(
-            tmp_path,
-            scenario,
-            client_kwargs={"pool_size": 2},
-            idle_timeout=0.1,
-        )
+        with_daemon(tmp_path, scenario, idle_timeout=0.1)
 
     def test_invalid_idle_timeout_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -8,8 +8,9 @@ from repro.core.serialization import SerializationError, piece_from_bytes
 from repro.net.blockstore import BlockStore
 from repro.net.client import PeerClient, RetryPolicy
 from repro.net.errors import PeerUnavailableError
-from repro.net.faults import FRAME_HEADER_SIZE, FaultKind, FaultPlan, FaultRule
+from repro.net.faults import FaultKind, FaultPlan, FaultRule
 from repro.net.protocol import (
+    FRAME_HEADER_SIZE,
     Ok,
     PieceData,
     Ping,
@@ -148,6 +149,9 @@ class TestDeterminism:
 
 
 class TestFrameSabotage:
+    def test_header_size_is_a_header_only_frame(self):
+        assert FRAME_HEADER_SIZE == len(encode_message(Ping()))
+
     def test_corrupt_touches_only_the_body(self):
         plan = FaultPlan([FaultRule(kind="corrupt", corrupt_bytes=4)], seed=5)
         event = plan.decide("get_piece", "k")

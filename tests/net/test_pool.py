@@ -1,11 +1,10 @@
 """ConnectionPool and the pooled PeerClient transport.
 
-Covers the tentpole contract: reuse across sequential requests,
-``pool_size=0`` fresh-connection fallback, health-check eviction of
-streams the daemon closed, transparent one-shot reconnect (no retry
-budget spent), idle reaping, the concurrency bound, teardown, and the
-interaction with client-side fault injection (a poisoned stream is
-never returned to the pool).
+Covers the pool's contract: reuse across sequential requests,
+health-check eviction of streams the daemon closed, transparent one-shot
+reconnect (no retry budget spent), idle reaping, the concurrency bound,
+teardown, and the interaction with client-side fault injection (a
+poisoned stream is never returned to the pool).
 """
 
 import asyncio
@@ -14,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.net.blockstore import BlockStore
-from repro.net.client import PeerClient, RetryPolicy, default_pool_size
+from repro.net.client import DEFAULT_POOL_SIZE, PeerClient, RetryPolicy, default_pool_size
 from repro.net.faults import FaultPlan, FaultRule
 from repro.net.pool import ConnectionPool
 from repro.net.server import PeerDaemon
@@ -35,28 +34,16 @@ class TestReuse:
             assert counted(client, "pool.connections_opened_total") == 1
             assert counted(client, "pool.connections_reused_total") == 5
 
-        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
-
-    def test_pool_size_zero_dials_per_request(self, tmp_path):
-        """The fresh-connection fallback is exactly the old transport."""
-
-        async def scenario(daemon, client):
-            for _ in range(4):
-                assert await client.ping() is True
-            assert counted(daemon, "daemon.connections_total") == 4
-            assert counted(client, "pool.connections_opened_total") == 4
-            assert counted(client, "pool.connections_reused_total") == 0
-
-        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=0))
+        with_daemon(tmp_path, scenario, client_kwargs=pooled())
 
     def test_concurrent_requests_bounded_by_pool_size(self, tmp_path):
         async def scenario(daemon, client):
             results = await asyncio.gather(*(client.ping() for _ in range(12)))
             assert all(results)
-            assert counted(daemon, "daemon.connections_total") <= 2
-            assert counted(client, "pool.connections_opened_total") <= 2
+            assert counted(daemon, "daemon.connections_total") <= DEFAULT_POOL_SIZE
+            assert counted(client, "pool.connections_opened_total") <= DEFAULT_POOL_SIZE
 
-        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=2))
+        with_daemon(tmp_path, scenario, client_kwargs=pooled())
 
     def test_client_survives_reuse_across_event_loops(self, tmp_path):
         """A client reused after ``asyncio.run`` rebuilds its pool on the
@@ -69,12 +56,7 @@ class TestReuse:
         port = probe.getsockname()[1]
         probe.close()
 
-        client = PeerClient(
-            "127.0.0.1",
-            port,
-            retry=RetryPolicy(retries=1, backoff=0.01),
-            pool_size=2,
-        )
+        client = PeerClient("127.0.0.1", port, retry=RetryPolicy(retries=1, backoff=0.01))
 
         async def one_session(number, close_client):
             daemon = PeerDaemon(
@@ -118,7 +100,7 @@ class TestBrokenStreams:
                 >= 1
             )
 
-        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
+        with_daemon(tmp_path, scenario, client_kwargs=pooled())
 
     def test_aclose_then_reuse_degrades_to_fresh(self, tmp_path):
         async def scenario(daemon, client):
@@ -127,7 +109,7 @@ class TestBrokenStreams:
             assert client.pool is None
             assert await client.ping() is True  # rebuilt lazily
 
-        with_daemon(tmp_path, scenario, client_kwargs=pooled(pool_size=4))
+        with_daemon(tmp_path, scenario, client_kwargs=pooled())
 
 
 class TestIdleReaping:
@@ -142,7 +124,7 @@ class TestIdleReaping:
         with_daemon(
             tmp_path,
             scenario,
-            client_kwargs=pooled(pool_size=4, pool_idle_timeout=0.05),
+            client_kwargs=pooled(pool_idle_timeout=0.05),
         )
 
 
@@ -171,14 +153,15 @@ class TestFaultInteraction:
         with_daemon(
             tmp_path,
             scenario,
-            client_kwargs=pooled(pool_size=4, fault_plan=plan),
+            client_kwargs=pooled(fault_plan=plan),
         )
 
 
 class TestPoolPrimitive:
     def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            ConnectionPool("127.0.0.1", 1, size=-1)
+        for size in (-1, 0):  # zero streams would be no transport at all
+            with pytest.raises(ValueError):
+                ConnectionPool("127.0.0.1", 1, size=size)
 
     def test_release_never_pools_beyond_size(self, tmp_path):
         async def scenario(daemon, client):
@@ -196,22 +179,22 @@ class TestPoolPrimitive:
 
 
 class TestEnvDefault:
-    def test_env_var_sets_default(self, monkeypatch):
+    def test_env_var_is_ignored(self, tmp_path, monkeypatch):
+        """``REPRO_NET_POOL_SIZE`` selects nothing: every client pools."""
         monkeypatch.setenv("REPRO_NET_POOL_SIZE", "0")
-        assert default_pool_size() == 0
-        assert PeerClient("127.0.0.1", 1).pool_size == 0
-        monkeypatch.setenv("REPRO_NET_POOL_SIZE", "7")
-        assert PeerClient("127.0.0.1", 1).pool_size == 7
+        assert default_pool_size() == DEFAULT_POOL_SIZE
+
+        async def scenario(daemon, client):
+            assert await client.ping() is True
+            assert client.pool.size == DEFAULT_POOL_SIZE
+
+        with_daemon(tmp_path, scenario)
 
     def test_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_NET_POOL_SIZE", "many")
         assert default_pool_size() == 4
         monkeypatch.setenv("REPRO_NET_POOL_SIZE", "-3")
         assert default_pool_size() == 4
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NET_POOL_SIZE", "0")
-        assert PeerClient("127.0.0.1", 1, pool_size=3).pool_size == 3
 
 
 class _ExplodingWriter:

@@ -255,11 +255,7 @@ class TestPoolCountersSurviveRebuild:
                 counted(client, "pool.connections_reused_total"),
             )
 
-        # Pin the pool size: the CI matrix sets REPRO_NET_POOL_SIZE=0,
-        # which would make reuse impossible and void the regression.
-        opened, reused, opened_after, reused_after = with_daemon(
-            tmp_path, scenario, client_kwargs={"pool_size": 4}
-        )
+        opened, reused, opened_after, reused_after = with_daemon(tmp_path, scenario)
         assert opened == opened_after == 1
         assert reused == reused_after == 1
 
