@@ -12,8 +12,8 @@ Public API highlights
   and reconstruction.
 - :class:`repro.core.CostModel` / :func:`repro.core.bottleneck_bandwidth`
   -- the analytic cost and bandwidth models.
-- :mod:`repro.codes` -- replication, erasure, Reed-Solomon, hybrid and
-  hierarchical baselines behind one interface.
+- :mod:`repro.codes` -- replication, erasure, hierarchical and
+  product-matrix baselines behind one interface.
 - :mod:`repro.p2p` -- a discrete-event P2P backup-system simulator.
 - :mod:`repro.analysis` -- timing harness and per-figure data generators.
 """

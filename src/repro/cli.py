@@ -27,7 +27,8 @@ the code parameters and original file size (plus, for ``net``, the
 piece -> peer placement map).
 
 Fatal errors (truncated or corrupt piece files, missing manifests,
-unreachable peers) print one clear message to stderr and exit 1.
+unreachable peers, code or policy parameters no scheme accepts) print
+one clear message to stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import sys
 
 import numpy as np
 
+import repro.codes as codes
 from repro.core.params import RCParams
 from repro.core.regenerating import DecodingError, RandomLinearRegeneratingCode
 from repro.core.serialization import (
@@ -238,36 +240,48 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro simulate --scheme`` names, each with the factory that builds
+#: its scheme from the parsed arguments and the run's generator; the
+#: parser's choices are this table's keys.
+SIMULATE_SCHEMES = {
+    "replication": lambda args, rng: codes.ReplicationScheme(args.k + args.h),
+    "erasure": lambda args, rng: codes.RandomLinearErasureScheme(args.k, args.h, rng=rng),
+    "rc": lambda args, rng: codes.RegeneratingCodeScheme(
+        RCParams(args.k, args.h, args.d or args.k, args.i), rng=rng
+    ),
+    "pm-mbr": lambda args, rng: codes.ProductMatrixMBR(
+        n=args.k + args.h, k=args.k, d=args.d or args.k
+    ),
+    "pm-msr": lambda args, rng: codes.ProductMatrixMSR(n=args.k + args.h, k=args.k),
+}
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run a churn simulation and print the cost/durability summary."""
-    import repro.codes as codes
     from repro.codes.base import ReconstructError
     from repro.p2p.availability import ExponentialOnOff
     from repro.p2p.churn import ExponentialLifetime
     from repro.p2p.maintenance import EagerMaintenance, LazyMaintenance
+    from repro.p2p.placement import PlacementError
     from repro.p2p.system import BackupSystem, SimulationConfig
     from repro.p2p.traces import ChurnTrace, apply_trace, generate_trace
 
     rng = np.random.default_rng(args.seed)
-    scheme_factories = {
-        "replication": lambda: codes.ReplicationScheme(args.k + args.h),
-        "erasure": lambda: codes.RandomLinearErasureScheme(args.k, args.h, rng=rng),
-        "reed-solomon": lambda: codes.ReedSolomonScheme(args.k, args.h),
-        "hybrid": lambda: codes.HybridScheme(args.k, args.h),
-        "rc": lambda: codes.RegeneratingCodeScheme(
-            RCParams(args.k, args.h, args.d or args.k, args.i), rng=rng
-        ),
-        "pm-mbr": lambda: codes.ProductMatrixMBR(
-            n=args.k + args.h, k=args.k, d=args.d or args.k
-        ),
-        "pm-msr": lambda: codes.ProductMatrixMSR(n=args.k + args.h, k=args.k),
-    }
-    scheme = scheme_factories[args.scheme]()
-    policy = (
-        LazyMaintenance(threshold=args.lazy_threshold)
-        if args.lazy_threshold is not None
-        else EagerMaintenance()
-    )
+    try:
+        scheme = SIMULATE_SCHEMES[args.scheme](args, rng)
+        policy = (
+            LazyMaintenance(threshold=args.lazy_threshold)
+            if args.lazy_threshold is not None
+            else EagerMaintenance()
+        )
+    except ValueError as exc:
+        raise CLIError(f"invalid {args.scheme} simulation: {exc}") from None
+    if args.lazy_threshold is not None and args.lazy_threshold < scheme.reconstruction_degree:
+        raise CLIError(
+            f"--lazy-threshold {args.lazy_threshold} is below the {scheme.name} "
+            f"reconstruction degree {scheme.reconstruction_degree}: "
+            f"the policy would lose files by design"
+        )
 
     if args.trace:
         trace = ChurnTrace.load(args.trace)
@@ -302,7 +316,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             ).save(args.save_trace)
 
     data = rng.integers(0, 256, size=args.file_size, dtype=np.uint8).tobytes()
-    file_ids = [system.insert_file(data) for _ in range(args.files)]
+    try:
+        file_ids = [system.insert_file(data) for _ in range(args.files)]
+    except PlacementError as exc:
+        raise CLIError(f"cannot insert: {exc}") from None
     system.run(horizon)
     restored = 0
     for file_id in file_ids:
@@ -737,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scheme",
         default="rc",
-        choices=["replication", "erasure", "reed-solomon", "hybrid", "rc", "pm-mbr", "pm-msr"],
+        choices=list(SIMULATE_SCHEMES),
     )
     simulate.add_argument("-k", type=int, default=8)
     simulate.add_argument("-H", "--redundancy", dest="h", type=int, default=8)

@@ -4,14 +4,13 @@ The paper situates Regenerating Codes among the known redundancy schemes
 for P2P storage (sections 1-2):
 
 - **replication** -- the trivial scheme (k = 1);
-- **traditional erasure codes** -- random-linear (section 3.1) and
-  Reed-Solomon [10] flavours; repairs read k pieces;
-- **hybrid** -- Rodrigues & Liskov [5]: one full replica plus erasure
-  pieces, repairs served by the replica holder;
+- **traditional erasure codes** -- random-linear (section 3.1), the
+  paper's own RC(k, h, k, 0) baseline; repairs read k pieces;
 - **hierarchical codes** -- Duminuco & Biersack [8]: cheaper repairs at
   the cost of losing the "any k pieces" property;
 - **regenerating codes** -- the paper's subject, adapted here to the
-  common interface for head-to-head simulation.
+  common interface for head-to-head simulation, plus the exact-repair
+  product-matrix MBR/MSR constructions in the lineage of Wu et al. [9].
 
 All schemes implement :class:`repro.codes.base.RedundancyScheme`, the
 three-phase life cycle of section 2.1 (insertion / maintenance /
@@ -29,7 +28,6 @@ from repro.codes.base import (
 )
 from repro.codes.erasure import RandomLinearErasureScheme
 from repro.codes.hierarchical import HierarchicalCodeScheme, TreeHierarchicalCodeScheme
-from repro.codes.hybrid import HybridScheme
 from repro.codes.integrity import (
     BlockCorruptionError,
     ChecksummedScheme,
@@ -37,7 +35,6 @@ from repro.codes.integrity import (
     corrupt_block,
 )
 from repro.codes.product_matrix import ProductMatrixMBR, ProductMatrixMSR
-from repro.codes.reed_solomon import ReedSolomonScheme
 from repro.codes.regenerating_scheme import RegeneratingCodeScheme
 from repro.codes.replication import ReplicationScheme
 
@@ -49,13 +46,11 @@ __all__ = [
     "block_digest",
     "corrupt_block",
     "HierarchicalCodeScheme",
-    "HybridScheme",
     "ProductMatrixMBR",
     "ProductMatrixMSR",
     "RandomLinearErasureScheme",
     "ReconstructError",
     "RedundancyScheme",
-    "ReedSolomonScheme",
     "RegeneratingCodeScheme",
     "RepairError",
     "RepairOutcome",

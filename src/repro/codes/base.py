@@ -124,7 +124,7 @@ class RedundancyScheme(abc.ABC):
         """Blocks sufficient for reconstruction (the paper's k).
 
         For random-linear schemes sufficiency is with high probability;
-        for deterministic schemes (replication, Reed-Solomon) it is
+        for deterministic schemes (replication, product-matrix) it is
         guaranteed.  Hierarchical codes return the worst-case value (not
         all subsets of this size work -- see the scheme's docstring).
         """

@@ -42,6 +42,7 @@ from repro.codes.base import (
     RedundancyScheme,
     RepairError,
     RepairOutcome,
+    pad_to_matrix,
 )
 from repro.gf import linalg
 from repro.gf.field import GF, GaloisField
@@ -94,12 +95,13 @@ class _ProductMatrixBase(RedundancyScheme):
     # -- striping ----------------------------------------------------------
 
     def _stripes(self, data: bytes) -> np.ndarray:
-        """Pad and reshape the file into (B, L) message symbols."""
-        stride = self.message_size * self.field.element_size
-        padded_size = max(len(data) + (-len(data)) % stride, stride)
-        padded = data + b"\x00" * (padded_size - len(data))
-        elements = self.field.bytes_to_elements(padded)
-        return elements.reshape(-1, self.message_size).T.copy()
+        """Pad and reshape the file into (B, L) message symbols.
+
+        Stripe ``s`` is the ``s``-th run of B consecutive elements, so the
+        padded elements are read as (L, B) and transposed.
+        """
+        padded = pad_to_matrix(self.field, data, self.message_size)
+        return padded.reshape(-1, self.message_size).T.copy()
 
     def _unstripe(self, message: np.ndarray, file_size: int) -> bytes:
         data = self.field.elements_to_bytes(message.T.reshape(-1))

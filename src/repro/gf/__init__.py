@@ -11,13 +11,10 @@ substrate:
 - :mod:`repro.gf.linalg` -- linear algebra over the field (matrix product,
   inversion, rank, and the independent-row extraction used during
   reconstruction).
-- :mod:`repro.gf.polynomial` -- polynomials over the field.  No coding
-  path uses them (the Reed-Solomon baseline decodes through
-  :mod:`repro.gf.linalg`); its tests use interpolation as an oracle.
 """
 
 from repro.gf import kernels
-from repro.gf.field import GF, GF16, GF256, GF65536, GaloisField
+from repro.gf.field import GF, GaloisField
 from repro.gf.linalg import (
     LinAlgError,
     extract_independent_rows,
@@ -31,16 +28,11 @@ from repro.gf.linalg import (
     rref,
     solve,
 )
-from repro.gf.polynomial import Polynomial
 
 __all__ = [
     "GF",
-    "GF16",
-    "GF256",
-    "GF65536",
     "GaloisField",
     "LinAlgError",
-    "Polynomial",
     "extract_independent_rows",
     "gf_matmul",
     "gf_matvec",

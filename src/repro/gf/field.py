@@ -22,7 +22,7 @@ import threading
 
 import numpy as np
 
-__all__ = ["GaloisField", "GF", "GF16", "GF256", "GF65536"]
+__all__ = ["GaloisField", "GF"]
 
 #: Elements per add -> take -> xor step of every table-lookup loop (the
 #: kernels' row chunks, elimination's rank-1 updates, fragment
@@ -425,17 +425,3 @@ def GF(q: int) -> GaloisField:
     with _FIELD_LOCK:
         return _cached_field(q)
 
-
-def GF16() -> GaloisField:
-    """GF(2^4): tiny field used to exercise decode-failure behaviour."""
-    return GF(4)
-
-
-def GF256() -> GaloisField:
-    """GF(2^8): the classic byte field (Reed-Solomon default)."""
-    return GF(8)
-
-
-def GF65536() -> GaloisField:
-    """GF(2^16): the paper's field -- elements are unsigned shorts."""
-    return GF(16)

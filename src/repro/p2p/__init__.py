@@ -11,7 +11,7 @@ schemes of :mod:`repro.codes` can be compared end to end:
 - :mod:`repro.p2p.peer` -- peer state (bandwidth, stored blocks);
 - :mod:`repro.p2p.network` -- transfer times, with the paper's
   computation/transfer pipelining (section 5.2) built in;
-- :mod:`repro.p2p.placement` -- block placement strategies;
+- :mod:`repro.p2p.placement` -- uniform random placement on distinct peers;
 - :mod:`repro.p2p.maintenance` -- eager and lazy repair policies;
 - :mod:`repro.p2p.metrics` -- traffic/durability accounting;
 - :mod:`repro.p2p.system` -- the BackupSystem facade and simulation loop.
@@ -27,7 +27,6 @@ from repro.p2p.churn import (
     DeterministicLifetime,
     ExponentialLifetime,
     LifetimeModel,
-    ParetoLifetime,
     WeibullLifetime,
 )
 from repro.p2p.events import EventQueue, ScheduledEvent
@@ -35,7 +34,7 @@ from repro.p2p.maintenance import EagerMaintenance, LazyMaintenance, Maintenance
 from repro.p2p.metrics import SimulationMetrics
 from repro.p2p.network import NetworkModel, PipelinedComputation
 from repro.p2p.peer import Peer
-from repro.p2p.placement import PlacementError, RandomPlacement
+from repro.p2p.placement import PlacementError, choose_peers
 from repro.p2p.system import BackupSystem, SimulationConfig, StoredFile
 from repro.p2p.traces import ChurnTrace, SessionEvent, apply_trace, generate_trace
 
@@ -57,14 +56,13 @@ __all__ = [
     "LifetimeModel",
     "MaintenancePolicy",
     "NetworkModel",
-    "ParetoLifetime",
     "Peer",
     "PipelinedComputation",
     "PlacementError",
-    "RandomPlacement",
     "ScheduledEvent",
     "SimulationConfig",
     "SimulationMetrics",
     "StoredFile",
     "WeibullLifetime",
+    "choose_peers",
 ]

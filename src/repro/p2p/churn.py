@@ -22,7 +22,6 @@ __all__ = [
     "LifetimeModel",
     "ExponentialLifetime",
     "WeibullLifetime",
-    "ParetoLifetime",
     "DeterministicLifetime",
 ]
 
@@ -87,28 +86,6 @@ class WeibullLifetime(LifetimeModel):
 
     def __repr__(self) -> str:
         return f"WeibullLifetime(shape={self.shape}, scale={self.scale})"
-
-
-class ParetoLifetime(LifetimeModel):
-    """Pareto lifetimes: a heavy upper tail of very stable peers."""
-
-    def __init__(self, alpha: float, minimum: float):
-        if alpha <= 1:
-            raise ValueError(f"alpha must exceed 1 for a finite mean, got {alpha}")
-        if minimum <= 0:
-            raise ValueError(f"minimum lifetime must be positive, got {minimum}")
-        self.alpha = alpha
-        self.minimum = minimum
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.minimum * (1.0 + rng.pareto(self.alpha)))
-
-    @property
-    def mean_lifetime(self) -> float:
-        return self.alpha * self.minimum / (self.alpha - 1.0)
-
-    def __repr__(self) -> str:
-        return f"ParetoLifetime(alpha={self.alpha}, minimum={self.minimum})"
 
 
 class DeterministicLifetime(LifetimeModel):

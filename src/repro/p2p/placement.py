@@ -2,94 +2,48 @@
 
 The redundancy analysis of the paper assumes blocks of one file live on
 *distinct* peers (section 2.1: pieces are distributed "over distinct
-peers"); a placement strategy enforces that plus any capacity limits.
+peers"); placement enforces that plus any capacity limits, and picks
+uniformly at random among the peers that qualify.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import Iterable
 
 import numpy as np
 
 from repro.p2p.peer import Peer
 
-__all__ = ["PlacementError", "PlacementStrategy", "RandomPlacement", "LeastLoadedPlacement"]
+__all__ = ["PlacementError", "choose_peers"]
 
 
 class PlacementError(RuntimeError):
     """Raised when not enough eligible peers exist for a placement."""
 
 
-class PlacementStrategy(abc.ABC):
-    """Chooses peers for new or repaired blocks."""
+def choose_peers(
+    peers: Iterable[Peer],
+    file_id: int,
+    count: int,
+    payload_bytes: int,
+    rng: np.random.Generator,
+) -> list[Peer]:
+    """Pick ``count`` distinct peers able to store ``payload_bytes``.
 
-    @abc.abstractmethod
-    def choose(
-        self,
-        peers: Iterable[Peer],
-        file_id: int,
-        count: int,
-        payload_bytes: int,
-        rng: np.random.Generator,
-    ) -> list[Peer]:
-        """Pick ``count`` distinct peers able to store ``payload_bytes``.
-
-        Peers already holding a block of ``file_id`` are ineligible.
-        Raises :class:`PlacementError` when fewer than ``count`` qualify.
-        """
-
-    @staticmethod
-    def eligible(peers: Iterable[Peer], file_id: int, payload_bytes: int) -> list[Peer]:
-        return [
-            peer
-            for peer in peers
-            if peer.is_available
-            and file_id not in peer.stored
-            and peer.can_store(payload_bytes)
-        ]
-
-
-class RandomPlacement(PlacementStrategy):
-    """Uniform random placement over eligible peers (the default)."""
-
-    def choose(
-        self,
-        peers: Iterable[Peer],
-        file_id: int,
-        count: int,
-        payload_bytes: int,
-        rng: np.random.Generator,
-    ) -> list[Peer]:
-        candidates = self.eligible(peers, file_id, payload_bytes)
-        if len(candidates) < count:
-            raise PlacementError(
-                f"need {count} peers for file {file_id}, only {len(candidates)} eligible"
-            )
-        chosen = rng.choice(len(candidates), size=count, replace=False)
-        return [candidates[int(position)] for position in chosen]
-
-
-class LeastLoadedPlacement(PlacementStrategy):
-    """Pick the peers with the most free storage (deterministic tiebreak).
-
-    Balances disk usage across the system; with unbounded disks it
-    degenerates to lowest-peer-id order, which tests exploit for
-    deterministic scenarios.
+    Only available peers with room for the payload and no block of
+    ``file_id`` yet are eligible; the pick is uniform over them.
+    Raises :class:`PlacementError` when fewer than ``count`` qualify.
     """
-
-    def choose(
-        self,
-        peers: Iterable[Peer],
-        file_id: int,
-        count: int,
-        payload_bytes: int,
-        rng: np.random.Generator,
-    ) -> list[Peer]:
-        candidates = self.eligible(peers, file_id, payload_bytes)
-        if len(candidates) < count:
-            raise PlacementError(
-                f"need {count} peers for file {file_id}, only {len(candidates)} eligible"
-            )
-        candidates.sort(key=lambda peer: (peer.used_bytes, peer.peer_id))
-        return candidates[:count]
+    candidates = [
+        peer
+        for peer in peers
+        if peer.is_available
+        and file_id not in peer.stored
+        and peer.can_store(payload_bytes)
+    ]
+    if len(candidates) < count:
+        raise PlacementError(
+            f"need {count} peers for file {file_id}, only {len(candidates)} eligible"
+        )
+    chosen = rng.choice(len(candidates), size=count, replace=False)
+    return [candidates[int(position)] for position in chosen]

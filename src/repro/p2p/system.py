@@ -36,7 +36,7 @@ from repro.p2p.maintenance import EagerMaintenance, MaintenancePolicy
 from repro.p2p.metrics import RepairRecord, SimulationMetrics
 from repro.p2p.network import LinkScheduler, NetworkModel, PipelinedComputation
 from repro.p2p.peer import Peer
-from repro.p2p.placement import PlacementError, PlacementStrategy, RandomPlacement
+from repro.p2p.placement import PlacementError, choose_peers
 
 __all__ = ["SimulationConfig", "StoredFile", "BackupSystem"]
 
@@ -126,13 +126,11 @@ class BackupSystem:
         scheme: RedundancyScheme,
         config: SimulationConfig | None = None,
         policy: MaintenancePolicy | None = None,
-        placement: PlacementStrategy | None = None,
         network: NetworkModel | None = None,
     ):
         self.scheme = scheme
         self.config = config if config is not None else SimulationConfig()
         self.policy = policy if policy is not None else EagerMaintenance()
-        self.placement = placement if placement is not None else RandomPlacement()
         self.network = (
             network
             if network is not None
@@ -286,7 +284,7 @@ class BackupSystem:
         file_id = next(self._file_ids)
         encoded = self.scheme.encode(data)
         max_block = max(block.payload_bytes for block in encoded.blocks)
-        chosen = self.placement.choose(
+        chosen = choose_peers(
             self.live_peers(), file_id, len(encoded.blocks), max_block, self.rng
         )
         holders = {}
@@ -411,9 +409,7 @@ class BackupSystem:
             for peer in self.live_peers()
             if peer.peer_id not in stored.reserved_peers
         ]
-        return self.placement.choose(
-            candidates, stored.file_id, 1, payload_bytes, self.rng
-        )[0]
+        return choose_peers(candidates, stored.file_id, 1, payload_bytes, self.rng)[0]
 
     def _finish_repair(self, stored, block_index, outcome, newcomer: Peer, duration) -> None:
         stored.repairing.discard(block_index)

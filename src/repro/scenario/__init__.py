@@ -39,7 +39,6 @@ from repro.scenario.schedule import (
     SCHEDULE_FORMAT,
     ScenarioEvent,
     Schedule,
-    merge_schedules,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "StragglerModel",
     "WindowRecord",
     "compile_model",
-    "merge_schedules",
 ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
-from typing import Iterable
 
 from repro.net.faults import FaultPlan, FaultRule
 from repro.p2p.traces import ChurnTrace, SessionEvent
@@ -29,7 +28,6 @@ __all__ = [
     "SCHEDULE_FORMAT",
     "ScenarioEvent",
     "Schedule",
-    "merge_schedules",
 ]
 
 SCHEDULE_FORMAT = "repro-scenario-schedule-v1"
@@ -337,26 +335,3 @@ class Schedule:
     def load(cls, path) -> "Schedule":
         return cls.from_jsonable(json.loads(pathlib.Path(path).read_text()))
 
-
-def merge_schedules(schedules: Iterable[Schedule]) -> Schedule:
-    """Overlay several schedules over the same initial population.
-
-    Used by models that compose independent aspects (e.g. a diurnal
-    cycle plus a straggler window).  All inputs must agree on
-    ``initial_peers``; the horizon is the maximum.
-    """
-    materialized = list(schedules)
-    if not materialized:
-        raise ValueError("merge_schedules needs at least one schedule")
-    populations = {schedule.initial_peers for schedule in materialized}
-    if len(populations) != 1:
-        raise ValueError(f"schedules disagree on initial_peers: {populations}")
-    events = sorted(
-        (event for schedule in materialized for event in schedule.events),
-        key=lambda event: event.as_tuple,
-    )
-    return Schedule(
-        events=tuple(events),
-        horizon=max(schedule.horizon for schedule in materialized),
-        initial_peers=materialized[0].initial_peers,
-    )

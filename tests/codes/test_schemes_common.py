@@ -1,6 +1,6 @@
 """Contract tests every redundancy scheme must satisfy (section 2.1).
 
-The same life-cycle assertions run against all six schemes, which is
+The same life-cycle assertions run against every scheme, which is
 what lets the P2P simulator treat them interchangeably.
 """
 
@@ -9,13 +9,11 @@ import pytest
 
 from repro.codes import (
     HierarchicalCodeScheme,
-    HybridScheme,
     ProductMatrixMBR,
     ProductMatrixMSR,
     RandomLinearErasureScheme,
     TreeHierarchicalCodeScheme,
     RedundancyScheme,
-    ReedSolomonScheme,
     RegeneratingCodeScheme,
     ReplicationScheme,
 )
@@ -27,8 +25,6 @@ def all_schemes():
     return [
         ReplicationScheme(3),
         RandomLinearErasureScheme(4, 4, rng=np.random.default_rng(1)),
-        ReedSolomonScheme(4, 4),
-        HybridScheme(4, 4),
         HierarchicalCodeScheme(
             k=8, groups=2, local_redundancy=2, global_pieces=2,
             rng=np.random.default_rng(2),

@@ -1,8 +1,10 @@
 """Tests for the `repro simulate` CLI subcommand."""
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 def run(capsys, *extra):
@@ -13,6 +15,30 @@ def run(capsys, *extra):
     return code, capsys.readouterr().out
 
 
+#: Runnable argument sets, at least one per ``--scheme`` choice.
+EVERY_SCHEME = [
+    ("replication", []),
+    ("erasure", ["-k", "4", "-H", "4"]),
+    ("rc", ["-k", "4", "-H", "4", "-d", "5", "-i", "1"]),
+    ("rc", ["-k", "4", "-H", "4"]),  # -d defaults to k
+    ("pm-mbr", ["-k", "4", "-H", "4", "-d", "6"]),
+    ("pm-msr", ["-k", "4", "-H", "4"]),
+]
+
+
+def scheme_choices():
+    """The ``choices`` of ``repro simulate --scheme``, read off the parser."""
+    subparsers = next(
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    simulate = subparsers.choices["simulate"]
+    return next(
+        action.choices for action in simulate._actions if "--scheme" in action.option_strings
+    )
+
+
 class TestSimulate:
     def test_default_rc_run(self, capsys):
         code, out = run(capsys, "--scheme", "rc", "-k", "4", "-H", "4", "-d", "5", "-i", "1")
@@ -21,21 +47,14 @@ class TestSimulate:
         assert "2/2" in out
         assert "repairs_completed" in out
 
-    @pytest.mark.parametrize(
-        "scheme,extra",
-        [
-            ("replication", []),
-            ("erasure", ["-k", "4", "-H", "4"]),
-            ("reed-solomon", ["-k", "4", "-H", "4"]),
-            ("hybrid", ["-k", "4", "-H", "4"]),
-            ("pm-mbr", ["-k", "4", "-H", "4", "-d", "6"]),
-            ("pm-msr", ["-k", "4", "-H", "4"]),
-        ],
-    )
+    @pytest.mark.parametrize("scheme,extra", EVERY_SCHEME)
     def test_every_scheme_runs(self, capsys, scheme, extra):
         code, out = run(capsys, "--scheme", scheme, *extra)
         assert code == 0
         assert "2/2" in out
+
+    def test_every_scheme_runs_covers_the_parser_choices(self):
+        assert {scheme for scheme, _ in EVERY_SCHEME} == set(scheme_choices())
 
     def test_lazy_policy(self, capsys):
         code, out = run(
@@ -73,6 +92,33 @@ class TestSimulate:
         )
         assert code == 0
         assert "2/2" in out
+
+
+class TestBadParameters:
+    """Parameters no scheme or policy accepts fail before the simulation
+    starts, with one ``error:`` line and exit 1 -- never a traceback."""
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["-k", "4", "-H", "4", "-d", "2"],
+            ["--scheme", "pm-msr", "-k", "4", "-H", "1"],
+            ["--scheme", "replication", "-k", "0", "-H", "0"],
+            ["--lazy-threshold", "2", "-k", "4"],
+            ["--peers", "5"],
+        ],
+        ids=["rc-d-below-k", "pm-msr-too-few-nodes", "no-replicas",
+             "lazy-threshold-below-k", "too-few-peers"],
+    )
+    def test_one_error_line_and_exit_1(self, capsys, extra):
+        code = main(["simulate", "--seed", "5", "--horizon", "50", *extra])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
 
 
 class TestRestoreLoopExceptionPolicy:

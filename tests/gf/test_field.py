@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gf.field import GF, GF16, GF256, GF65536, GaloisField, PRIMITIVE_POLYNOMIALS
+from repro.gf.field import GF, GaloisField, PRIMITIVE_POLYNOMIALS
 
 
 def elements(q: int, max_size: int = 16):
@@ -17,11 +17,6 @@ def elements(q: int, max_size: int = 16):
 class TestConstruction:
     def test_factory_returns_cached_instance(self):
         assert GF(8) is GF(8)
-
-    def test_named_constructors(self):
-        assert GF16().q == 4
-        assert GF256().q == 8
-        assert GF65536().q == 16
 
     def test_invalid_q_rejected(self):
         with pytest.raises(ValueError):

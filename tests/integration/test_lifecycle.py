@@ -7,10 +7,8 @@ from repro.analysis.timing import calibrate_ops_per_second
 from repro.codes import (
     ChecksummedScheme,
     HierarchicalCodeScheme,
-    HybridScheme,
     ProductMatrixMBR,
     RandomLinearErasureScheme,
-    ReedSolomonScheme,
     RegeneratingCodeScheme,
     ReplicationScheme,
     TreeHierarchicalCodeScheme,
@@ -73,8 +71,6 @@ class TestSimulatorWithAllSchemes:
     SCHEMES = [
         ("replication", lambda: ReplicationScheme(4)),
         ("erasure", lambda: RandomLinearErasureScheme(4, 4, rng=np.random.default_rng(1))),
-        ("reed-solomon", lambda: ReedSolomonScheme(4, 4)),
-        ("hybrid", lambda: HybridScheme(4, 4)),
         (
             "hierarchical",
             lambda: HierarchicalCodeScheme(

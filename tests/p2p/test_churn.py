@@ -6,14 +6,12 @@ import pytest
 from repro.p2p.churn import (
     DeterministicLifetime,
     ExponentialLifetime,
-    ParetoLifetime,
     WeibullLifetime,
 )
 
 ALL_MODELS = [
     ExponentialLifetime(mean=100.0),
     WeibullLifetime(shape=0.5, scale=50.0),
-    ParetoLifetime(alpha=2.5, minimum=10.0),
     DeterministicLifetime(lifetime=42.0),
 ]
 
@@ -50,12 +48,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             WeibullLifetime(shape=1, scale=-1)
 
-    def test_pareto_needs_finite_mean(self):
-        with pytest.raises(ValueError):
-            ParetoLifetime(alpha=1.0, minimum=1.0)
-        with pytest.raises(ValueError):
-            ParetoLifetime(alpha=2.0, minimum=0.0)
-
     def test_deterministic(self):
         with pytest.raises(ValueError):
             DeterministicLifetime(0)
@@ -72,16 +64,6 @@ class TestSpecificShapes:
         assert WeibullLifetime(shape=1.0, scale=30.0).mean_lifetime == pytest.approx(
             30.0
         )
-
-    def test_pareto_heavy_tail(self):
-        """Pareto produces far larger extremes than exponential at the
-        same mean -- the stable-peer tail."""
-        rng = np.random.default_rng(5)
-        pareto = ParetoLifetime(alpha=1.5, minimum=10.0)
-        exponential = ExponentialLifetime(mean=pareto.mean_lifetime)
-        pareto_max = max(pareto.sample(rng) for _ in range(5000))
-        exponential_max = max(exponential.sample(rng) for _ in range(5000))
-        assert pareto_max > exponential_max
 
     def test_weibull_early_churn(self):
         """shape < 1: the median falls well below the mean (many peers

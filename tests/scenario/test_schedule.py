@@ -7,7 +7,7 @@ import pytest
 
 from repro.net.faults import FaultPlan, FaultRule
 from repro.p2p.traces import ChurnTrace, SessionEvent
-from repro.scenario import ScenarioEvent, Schedule, merge_schedules
+from repro.scenario import ScenarioEvent, Schedule
 
 DELAY_RULE = FaultRule(kind="delay", operation="*", scope="peer01", delay=0.01)
 DROP_RULE = FaultRule(kind="drop", operation="get_piece", scope="peer02")
@@ -245,29 +245,3 @@ class TestPersistence:
         assert restored.rule == DELAY_RULE
         assert dataclasses.astuple(restored.rule) == dataclasses.astuple(DELAY_RULE)
 
-
-class TestMerge:
-    def test_merged_events_interleave_sorted(self):
-        left = Schedule(
-            events=(ScenarioEvent(1.0, "kill", 0), ScenarioEvent(3.0, "restart", 0)),
-            horizon=4.0,
-            initial_peers=3,
-        )
-        right = Schedule(
-            events=(ScenarioEvent(2.0, "fault_on", rule=DELAY_RULE),),
-            horizon=6.0,
-            initial_peers=3,
-        )
-        merged = merge_schedules([left, right])
-        assert [event.time for event in merged.events] == [1.0, 2.0, 3.0]
-        assert merged.horizon == 6.0
-
-    def test_population_disagreement_rejected(self):
-        left = Schedule(events=(), horizon=1.0, initial_peers=2)
-        right = Schedule(events=(), horizon=1.0, initial_peers=3)
-        with pytest.raises(ValueError, match="disagree"):
-            merge_schedules([left, right])
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError, match="at least one"):
-            merge_schedules([])

@@ -4,8 +4,11 @@
 which sits under ``repro.net`` (the live stack); ``repro.obs`` is a leaf
 any of them may use.  None of the four may reach up into the packages
 built on top of them -- ``codes``, ``p2p``, ``analysis`` -- or sideways
-into any other.  Every import counts, including the ones inside
-functions.
+into any other.  Above the boundary, the baseline schemes (``codes``)
+and the analytic models (``analysis``) stand on ``core`` alone, and the
+simulator (``p2p``) on ``core`` and ``codes``; none of them reaches into
+``net`` or into each other beyond that.  Every import counts, including
+the ones inside functions.
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ ALLOWED = {
     "gf": {"gf"},
     "core": {"gf", "core"},
     "net": {"gf", "core", "net", "obs"},
+    "codes": {"gf", "core", "codes"},
+    "analysis": {"gf", "core", "analysis"},
+    "p2p": {"gf", "core", "codes", "p2p"},
 }
 
 
