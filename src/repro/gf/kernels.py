@@ -12,7 +12,7 @@ documents point here.
 (k, n) data matrix ``b`` on one of two paths, chosen by its shape.
 Both compute the same field products, so their bytes are equal.
 
-**Selection.**  Products of at least ``_XOR_MIN_ROWS`` (128) rows and
+**Selection.**  Products of at least ``_XOR_MIN_ROWS`` (96) rows and
 ``_XOR_MIN_COLUMNS`` (64) columns take the XOR path, all others the log
 path.  Single-thread CPU time of the XOR path over the log path's,
 GF(2^16), on the 2-vCPU box the ledger runs on, by rows::
@@ -32,9 +32,14 @@ those and every repair keep the log path.  Elimination in
 :mod:`repro.gf.linalg` applies its block updates through :func:`matmul`
 on stacks of 192 rows or more, and they take the path :func:`matmul`
 picks: the XOR path on the paper's 320 x 319 reconstruct stack.
-Smaller stacks eliminate without calling it.  The row threshold is 128
-rather than 96 because the log path gains more from a second worker
-(x1.5 against x1.2-1.3 on 2 vCPUs).
+Smaller stacks eliminate without calling it.  The row threshold is 96
+because the XOR path already wins there with two workers as well as one
+(0.64 and 0.68 of the log path's wall time at 96 rows, k=319 and k=32
+shapes, 2 workers).  Only the bulk shape turns at 96 rows with two
+workers (1.24 at k=31, n=67650), and no bulk product has 96 rows.  The
+96-127-row band is where figure 4's small grids encode: RC(8,8,10,3)
+stacks a 96 x 42 product, which at 128 rows took the log path and cost
+as much wall time as RC(8,8,15,7)'s 2.5x larger XOR product.
 
 The XOR path's cost has a part per numpy call, ``(2 + 2.7) k q / g``
 calls per tile, that narrow data does not amortise, and it copies table
@@ -154,7 +159,7 @@ _MIN_SHARD_OPS = 1 << 25
 
 #: Coefficient rows and data columns from which :func:`matmul` takes the
 #: XOR path (the crossover tables in the module docstring).
-_XOR_MIN_ROWS = 128
+_XOR_MIN_ROWS = 96
 _XOR_MIN_COLUMNS = 64
 
 #: Coefficient bits per lookup table: 2^6 rows each.  5 and 6 measured

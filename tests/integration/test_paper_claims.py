@@ -110,8 +110,14 @@ class TestSection5Claims:
 
     @pytest.fixture(scope="class")
     def t_erasure(self):
+        # Single encodes and decodes of this size swing +-40 % on a shared
+        # host; the best of nine interleaved rounds (~0.2 s) pins both
+        # to their floor, which the ratio claims compare.
         return time_operations(
-            RCParams.erasure(32, 32), file_size=128 << 10, rng=np.random.default_rng(2)
+            RCParams.erasure(32, 32),
+            file_size=128 << 10,
+            rng=np.random.default_rng(2),
+            repeats=9,
         )
 
     def test_t32_0_ordering(self, t_erasure):
@@ -186,11 +192,13 @@ class TestFig4MeasuredShapes:
     def measured(self):
         from repro.analysis.overhead import measured_overhead_grid
 
-        # 128 KB + best-of-3 keeps the matmul volume and timing noise in
+        # 128 KB + best-of-9 keeps the matmul volume and timing noise in
         # a range where the (d, i) signal survives the batched kernels'
-        # much lower per-byte cost.  The (8, 0)/(9, 0) normalizers are
-        # microsecond-scale and divide every cell, so they get extra
-        # best-of rounds.
+        # much lower per-byte cost: the (15, 7)/(10, 3) encode floors
+        # differ by ~1.45x while single rounds swing +-40 % on a shared
+        # host, and nine interleaved rounds still find a clean one per
+        # cell with every CPU contended.  The (8, 0)/(9, 0) normalizers
+        # divide every cell, so they get as many.
         return measured_overhead_grid(
             k=8,
             h=8,
@@ -198,7 +206,7 @@ class TestFig4MeasuredShapes:
             d_values=[8, 10, 12, 15],
             i_values=[0, 3, 7],
             rng=np.random.default_rng(5),
-            repeats=3,
+            repeats=9,
             baseline_repeats=9,
         )
 
