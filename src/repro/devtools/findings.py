@@ -8,7 +8,8 @@ __all__ = ["Finding", "LintReport", "REPORT_SCHEMA_VERSION"]
 
 #: Bumped whenever the JSON report layout changes shape.
 #: v2: added the ``baselined`` list (ratchet-tolerated findings).
-REPORT_SCHEMA_VERSION = 2
+#: v3: dropped ``baselined``; inline disables are the only tolerance.
+REPORT_SCHEMA_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True, order=True)
@@ -35,15 +36,12 @@ class LintReport:
 
     ``findings`` are the live violations; ``suppressed`` are violations
     silenced by a ``# reprolint: disable=CODE`` comment (reported so a
-    suppression can never hide silently); ``baselined`` are pre-existing
-    violations tolerated by the ratchet baseline (they don't fail the
-    run, but stay visible); ``errors`` are files that could not be
-    parsed at all.
+    suppression can never hide silently); ``errors`` are files that
+    could not be parsed at all.
     """
 
     findings: list[Finding] = dataclasses.field(default_factory=list)
     suppressed: list[Finding] = dataclasses.field(default_factory=list)
-    baselined: list[Finding] = dataclasses.field(default_factory=list)
     errors: list[Finding] = dataclasses.field(default_factory=list)
     files_checked: int = 0
 
@@ -57,6 +55,5 @@ class LintReport:
             "files_checked": self.files_checked,
             "findings": [finding.to_json() for finding in sorted(self.findings)],
             "suppressed": [finding.to_json() for finding in sorted(self.suppressed)],
-            "baselined": [finding.to_json() for finding in sorted(self.baselined)],
             "errors": [finding.to_json() for finding in sorted(self.errors)],
         }

@@ -1,26 +1,24 @@
 """Flow-sensitive analysis under reprolint: per-function CFGs, a
 whole-project call graph, and the RL5xx rule family on top.
 
-The package splits along the cache boundary (see ``docs/DEVTOOLS.md``):
+The package splits per-file analysis from whole-project analysis (see
+``docs/DEVTOOLS.md``):
 
 - :mod:`repro.devtools.flow.cfg` -- statement-granularity control-flow
   graphs with ``await``-point annotation and a lock-context lattice;
 - :mod:`repro.devtools.flow.summaries` -- per-file analysis: the
   intra-procedural rules (RL501 torn read-modify-write, RL503 resource
-  leak paths) plus the serializable per-function summaries the
-  interprocedural passes consume;
+  leak paths) plus the per-function summaries the interprocedural
+  passes consume;
 - :mod:`repro.devtools.flow.callgraph` -- whole-project resolution and
   the interprocedural rules (RL502 blocking reachability, RL504
   lock-order cycles);
-- :mod:`repro.devtools.flow.cache` -- the mtime+hash-keyed per-file
-  cache that keeps whole-tree runs fast;
 - :mod:`repro.devtools.flow.rules` -- the :class:`FlowRule` project rule
   gluing it all into the reprolint engine.
 """
 
 from __future__ import annotations
 
-from repro.devtools.flow.cache import ENGINE_VERSION, FlowCache
 from repro.devtools.flow.callgraph import CallGraph
 from repro.devtools.flow.cfg import CFG, CFGNode, build_cfg
 from repro.devtools.flow.summaries import (
@@ -48,7 +46,5 @@ __all__ = [
     "FunctionSummary",
     "analyze_file",
     "CallGraph",
-    "FlowCache",
-    "ENGINE_VERSION",
     "FlowRule",
 ]

@@ -16,9 +16,8 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.devtools.findings import Finding
-from repro.devtools.flow.cache import FlowCache
 from repro.devtools.flow.callgraph import CallGraph
-from repro.devtools.flow.summaries import FileFlowInfo, analyze_file
+from repro.devtools.flow.summaries import analyze_file
 from repro.devtools.rules.base import ProjectRule
 
 __all__ = ["FlowRule"]
@@ -29,55 +28,24 @@ class FlowRule(ProjectRule):
     name = "flow-async"
     description = (
         "flow-sensitive async analysis: torn read-modify-write, blocking "
-        "reachability, resource leak paths, lock-order cycles (needs --flow)"
+        "reachability, resource leak paths, lock-order cycles"
     )
     codes = ("RL501", "RL502", "RL503", "RL504")
     code_descriptions = {
         "RL501": "shared self-attribute read-modify-write torn across an "
-        "await without a covering lock (needs --flow)",
+        "await without a covering lock",
         "RL502": "blocking call (sleep, sync I/O, subprocess, hashlib, GF "
-        "kernels) reachable from async context (needs --flow)",
+        "kernels) reachable from async context",
         "RL503": "acquired resource with a path to function exit that "
-        "skips release (needs --flow)",
-        "RL504": "lock-acquisition-order cycle across the call graph "
-        "(needs --flow)",
+        "skips release",
+        "RL504": "lock-acquisition-order cycle across the call graph",
     }
     roles = frozenset({"src"})
 
-    def __init__(self, cache_path=None):
-        self.cache_path = cache_path
-        #: Filled by ``check_project`` for the CLI's cache statistics.
-        self.cache_hits = 0
-        self.cache_misses = 0
-
     def check_project(self, ctxs) -> Iterator[Finding]:
-        cache = FlowCache(self.cache_path)
-        infos = []
-        for ctx in ctxs:
-            cached = cache.get(ctx.path, ctx.source)
-            if cached is not None:
-                info = FileFlowInfo.from_json(cached)
-                # The engine keys suppression lookup on the context's own
-                # path string; re-anchor in case the cache was built from
-                # a different invocation spelling of the same file.
-                info.path = str(ctx.path)
-            else:
-                info = analyze_file(ctx)
-                cache.put(ctx.path, ctx.source, info.to_json())
-            infos.append(info)
-        cache.save()
-        self.cache_hits = cache.hits
-        self.cache_misses = cache.misses
-
+        infos = [analyze_file(ctx) for ctx in ctxs]
         for info in infos:
-            for raw in info.local_findings:
-                yield Finding(
-                    path=info.path,
-                    line=raw["line"],
-                    col=raw["col"],
-                    code=raw["code"],
-                    message=raw["message"],
-                )
+            yield from info.local_findings
 
         graph = CallGraph(infos)
         for info, line, col, message in graph.iter_rl502():

@@ -1,8 +1,6 @@
 """Per-file flow analysis: intra-procedural rules and call summaries.
 
-This module owns everything computable from one file alone, which is
-exactly what the :mod:`~repro.devtools.flow.cache` can key on a file's
-content hash:
+This module owns everything computable from one file alone:
 
 - **RL501** -- a forward dataflow pass over the CFG.  Reading a ``self``
   attribute opens a *pending read* carrying the lock set held at the
@@ -20,7 +18,7 @@ content hash:
   attribute) is a leak path.
 
 - **Function summaries** -- call sites (with held-lock context), direct
-  blocking-primitive hits, and lock acquisitions, serialized for the
+  blocking-primitive hits, and lock acquisitions, for the
   interprocedural RL502/RL504 passes in
   :mod:`~repro.devtools.flow.callgraph`.
 """
@@ -39,6 +37,7 @@ from repro.devtools.flow.cfg import (
     _part_ast,
     build_cfg,
 )
+from repro.devtools.findings import Finding
 from repro.devtools.tables import (
     BLOCKING_FILE_METHODS,
     BLOCKING_MODULE_CALLS,
@@ -52,7 +51,7 @@ __all__ = ["CallSite", "FunctionSummary", "FileFlowInfo", "analyze_file"]
 
 
 # ---------------------------------------------------------------------------
-# serializable summary types
+# summary types
 # ---------------------------------------------------------------------------
 
 
@@ -65,13 +64,6 @@ class CallSite:
     col: int
     awaited: bool
     locks: list  # lock identities held at the call
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CallSite":
-        return cls(**data)
 
 
 @dataclasses.dataclass
@@ -101,44 +93,16 @@ class FunctionSummary:
     def display(self) -> str:
         return f"{self.cls}.{self.name}" if self.cls else self.name
 
-    def to_json(self) -> dict:
-        data = dataclasses.asdict(self)
-        data["calls"] = [call.to_json() for call in self.calls]
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FunctionSummary":
-        data = dict(data)
-        data["calls"] = [CallSite.from_json(call) for call in data["calls"]]
-        return cls(**data)
-
 
 @dataclasses.dataclass
 class FileFlowInfo:
-    """The cacheable per-file analysis product."""
+    """The per-file analysis product."""
 
     path: str
     module: str
     functions: list  # list[FunctionSummary]
-    #: Intra-procedural findings as dicts (RL501/RL503), pre-suppression.
-    local_findings: list
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "functions": [fn.to_json() for fn in self.functions],
-            "local_findings": self.local_findings,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FileFlowInfo":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            functions=[FunctionSummary.from_json(fn) for fn in data["functions"]],
-            local_findings=data["local_findings"],
-        )
+    #: Intra-procedural findings (RL501/RL503), pre-suppression.
+    local_findings: list  # list[Finding]
 
 
 def _module_name(path: pathlib.Path) -> str:
@@ -309,12 +273,12 @@ def _rl501(cfg: CFG, func, path: str, findings: list) -> None:
                     if key not in reported:
                         reported.add(key)
                         findings.append(
-                            {
-                                "path": path,
-                                "line": node.line,
-                                "col": getattr(node.stmt, "col_offset", 0) + 1,
-                                "code": "RL501",
-                                "message": (
+                            Finding(
+                                path=path,
+                                line=node.line,
+                                col=getattr(node.stmt, "col_offset", 0) + 1,
+                                code="RL501",
+                                message=(
                                     f"`self.{attr}` is read and later rewritten in "
                                     f"`{func.name}` across an await with no lock "
                                     "covering the window; another task can "
@@ -323,7 +287,7 @@ def _rl501(cfg: CFG, func, path: str, findings: list) -> None:
                                     "one lock across both, or re-read after the "
                                     "await"
                                 ),
-                            }
+                            )
                         )
                 state[attr] = set()
         return state
@@ -533,18 +497,18 @@ def _rl503(cfg: CFG, func, path: str, findings: list) -> None:
             stack.extend(node.raise_succs)
         if leaked:
             findings.append(
-                {
-                    "path": path,
-                    "line": origin.line,
-                    "col": getattr(origin.stmt, "col_offset", 0) + 1,
-                    "code": "RL503",
-                    "message": (
+                Finding(
+                    path=path,
+                    line=origin.line,
+                    col=getattr(origin.stmt, "col_offset", 0) + 1,
+                    code="RL503",
+                    message=(
                         f"`{name}` acquired via `{label}` in `{func.name}` has a "
                         "path to function exit (including exception edges) that "
                         "never releases it; close it in a `finally`, use "
                         "`async with`, or transfer ownership explicitly"
                     ),
-                }
+                )
             )
 
 
@@ -690,7 +654,7 @@ def analyze_file(ctx) -> FileFlowInfo:
             _rl501(cfg, func, path, local_findings)
         _rl503(cfg, func, path, local_findings)
         functions.append(_summarize(cfg, func, module, method_class))
-    local_findings.sort(key=lambda f: (f["line"], f["col"], f["code"]))
+    local_findings.sort()
     return FileFlowInfo(
         path=path, module=module, functions=functions, local_findings=local_findings
     )

@@ -3,24 +3,22 @@
 Usage (from the repo root, ``PYTHONPATH=src``)::
 
     python -m repro.devtools.lint src tests
-    python -m repro.devtools.lint --flow src tests
     python -m repro.devtools.lint src tests --format json
     python -m repro.devtools.lint --list-rules
 
 Exit codes: 0 clean, 1 findings (or unparseable files), 2 usage error.
 
-``--flow`` enables the flow-sensitive RL5xx family (CFG + call-graph
-analysis, see ``docs/DEVTOOLS.md``); ``--flow-cache PATH`` keys its
-per-file results on mtime+sha256 so repeat whole-tree runs skip
-re-analysis.  ``--baseline PATH`` tolerates the findings recorded in a
-ratchet file (new findings still fail; ``--update-baseline``
-regenerates it); ``--format sarif`` / ``--sarif-output PATH`` emit SARIF
-2.1.0 for CI annotation; ``--time-limit SECONDS`` fails the run when
-the whole pass exceeds the budget.
+Every run runs every rule family, the flow-sensitive RL5xx analysis
+(CFG + call graph, see ``docs/DEVTOOLS.md``) included;
+``--select``/``--ignore`` narrow the codes.  ``--format sarif`` /
+``--sarif-output PATH`` emit SARIF 2.1.0 for CI annotation;
+``--time-limit SECONDS`` fails the run when the whole pass exceeds the
+budget.
 
-Suppression: append ``# reprolint: disable=RL104`` (comma-separate for
-several codes, ``disable=all`` for everything) to the offending line.
-Suppressed findings still appear in the JSON report under
+Suppression is the only way to tolerate a finding: append
+``# reprolint: disable=RL104`` (comma-separate for several codes,
+``disable=all`` for everything) to the offending line, with a comment
+saying why.  Suppressed findings still appear in the JSON report under
 ``"suppressed"`` so they can be audited; the policy in
 ``docs/TESTING.md`` is that *pre-existing defects are fixed, not
 suppressed* -- disables are for deliberate, commented exceptions only.
@@ -44,15 +42,8 @@ import sys
 import time
 from typing import Iterable, Sequence
 
-from repro.devtools.baseline import apply_baseline, load_baseline, write_baseline
 from repro.devtools.findings import Finding, LintReport
-from repro.devtools.rules import (
-    ALL_RULES,
-    RULE_CODES,
-    FlowRule,
-    ProjectRule,
-    rule_table,
-)
+from repro.devtools.rules import ALL_RULES, RULE_CODES, ProjectRule, rule_table
 from repro.devtools.sarif import to_sarif
 
 __all__ = ["FileContext", "run_lint", "main"]
@@ -154,16 +145,13 @@ def run_lint(
     force_role: str | None = None,
     select: Iterable[str] | None = None,
     ignore: Iterable[str] = (),
-    flow: bool = False,
-    flow_cache: str | pathlib.Path | None = None,
 ) -> LintReport:
     """Lint ``paths`` (files and/or directories) and return the report.
 
     ``select``/``ignore`` take full codes or prefixes (``RL1`` matches
-    the whole asyncio family).  ``force_role`` pins every file to one
-    role instead of inferring test-ness from the path.  ``flow``
-    enables the RL5xx flow-sensitive family; ``flow_cache`` points its
-    per-file cache at a JSON file (``None`` analyzes from scratch).
+    the whole asyncio family); a rule none of whose codes is wanted is
+    not run.  ``force_role`` pins every file to one role instead of
+    inferring test-ness from the path.
     """
     select_set = {code.upper() for code in select} if select is not None else None
     ignore_set = {code.upper() for code in ignore}
@@ -181,10 +169,8 @@ def run_lint(
     raw: list[tuple[Finding, FileContext]] = []
     by_path = {str(ctx.path): ctx for ctx in contexts}
     for rule in ALL_RULES:
-        if isinstance(rule, FlowRule):
-            if not flow:
-                continue
-            rule = FlowRule(cache_path=flow_cache)
+        if not any(_wanted(code, select_set, ignore_set) for code in rule.codes):
+            continue
         if isinstance(rule, ProjectRule):
             eligible = [ctx for ctx in contexts if ctx.role in rule.roles]
             for finding in rule.check_project(eligible):
@@ -214,34 +200,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description="reprolint: project-aware static analysis "
-        "(asyncio, GF-domain, and wire-protocol rules)",
+        "(asyncio, GF-domain, wire-protocol, observability and flow rules)",
     )
     parser.add_argument("paths", nargs="*", default=(), help="files or directories")
     parser.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text", dest="fmt"
-    )
-    parser.add_argument(
-        "--flow",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="run the flow-sensitive RL5xx family (CFG + call graph)",
-    )
-    parser.add_argument(
-        "--flow-cache",
-        default=None,
-        metavar="PATH",
-        help="mtime+hash-keyed per-file cache for the flow analysis",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="ratchet baseline: recorded findings are tolerated, new ones fail",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="regenerate the --baseline file from the current findings and exit 0",
     )
     parser.add_argument(
         "--sarif-output",
@@ -294,10 +257,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: unknown rule code(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    if args.update_baseline and args.baseline is None:
-        print("error: --update-baseline requires --baseline PATH", file=sys.stderr)
-        return 2
-
     started = time.perf_counter()
     try:
         report = run_lint(
@@ -305,29 +264,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             force_role=args.force_role,
             select=split(args.select) if args.select is not None else None,
             ignore=split(args.ignore),
-            flow=args.flow,
-            flow_cache=args.flow_cache,
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
-
-    if args.baseline is not None:
-        if args.update_baseline:
-            count = write_baseline(args.baseline, report)
-            print(
-                f"reprolint: baseline {args.baseline} updated "
-                f"({count} fingerprint(s))",
-                file=sys.stderr,
-            )
-            return 0
-        try:
-            counts = load_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline: {exc}", file=sys.stderr)
-            return 2
-        apply_baseline(report, counts)
 
     if args.sarif_output is not None:
         pathlib.Path(args.sarif_output).write_text(
@@ -345,7 +286,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         summary = (
             f"reprolint: {len(report.findings)} finding(s), "
             f"{len(report.suppressed)} suppressed, "
-            f"{len(report.baselined)} baselined, "
             f"{len(report.errors)} unparseable, "
             f"{report.files_checked} file(s) checked in {elapsed:.2f}s"
         )

@@ -1,6 +1,6 @@
 """The reprolint rule registry.
 
-Three families, mirroring where this project's bugs actually live:
+Five families, mirroring where this project's bugs actually live:
 
 - **RL1xx** asyncio (un-awaited coroutines, swallowed exceptions, locks
   across network awaits, dropped task handles);
@@ -11,8 +11,9 @@ Three families, mirroring where this project's bugs actually live:
 - **RL4xx** observability (wall-clock latency arithmetic, metric names
   outside the registry scheme);
 - **RL5xx** flow-sensitive async analysis (torn read-modify-write,
-  blocking reachability, resource leak paths, lock-order cycles) --
-  runs only under ``--flow``.
+  blocking reachability, resource leak paths, lock-order cycles).
+
+Every run runs every family; ``--select``/``--ignore`` filter by code.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ __all__ = [
     "rule_table",
 ]
 
-#: Every rule, instantiated once; the engine iterates this.  The
-#: :class:`FlowRule` entry registers the RL5xx codes; ``run_lint`` only
-#: executes it when flow analysis is enabled.
+#: Every rule, instantiated once; the engine runs each of them.
 ALL_RULES: tuple[Rule, ...] = (
     UnawaitedCoroutineRule(),
     SwallowedExceptionRule(),
@@ -60,9 +59,8 @@ def rule_table() -> list[tuple[str, str, str]]:
     """``(code, name, description)`` rows for ``--list-rules``."""
     rows = []
     for rule in ALL_RULES:
-        codes = rule.codes if isinstance(rule, ProjectRule) and rule.codes else (rule.code,)
         per_code = getattr(rule, "code_descriptions", {})
-        for code in codes:
+        for code in rule.codes:
             rows.append((code, rule.name, per_code.get(code, rule.description)))
     return sorted(rows)
 

@@ -33,6 +33,12 @@ class Rule:
     description: str = ""
     roles: frozenset = frozenset({"src", "test"})
 
+    @property
+    def codes(self) -> tuple:
+        """Every code this rule may emit (``--select``/``--ignore``
+        filter on these; :attr:`code` stays the primary one)."""
+        return (self.code,)
+
     def check(self, ctx) -> Iterator[Finding]:
         raise NotImplementedError
 
@@ -48,11 +54,8 @@ class Rule:
 
 class ProjectRule(Rule):
     """A rule that needs to see several files at once (e.g. the opcode
-    table in ``protocol.py`` against the dispatch in ``server.py``)."""
-
-    #: Every code this rule may emit (``--select``/``--ignore`` filter on
-    #: these; :attr:`Rule.code` stays the primary one).
-    codes: tuple = ()
+    table in ``protocol.py`` against the dispatch in ``server.py``).
+    Subclasses that emit several codes list them in ``codes``."""
 
     def check_project(self, ctxs) -> Iterator[Finding]:
         raise NotImplementedError

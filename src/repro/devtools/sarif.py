@@ -3,8 +3,7 @@
 One run, one tool (``reprolint``), rules populated from the registry's
 rule table so viewers can show per-rule help.  Live findings become
 plain results; suppressed findings become results with an ``inSource``
-suppression (the ``# reprolint: disable=`` comment); baseline-tolerated
-findings carry an ``external`` suppression pointing at the ratchet file.
+suppression (the ``# reprolint: disable=`` comment).
 Parse errors map to rule ``RL000`` at level ``error``.
 
 The schema reference:
@@ -76,15 +75,6 @@ def to_sarif(report: LintReport) -> dict:
     results += [
         _result(finding, suppressions=[{"kind": "inSource"}])
         for finding in sorted(report.suppressed)
-    ]
-    results += [
-        _result(
-            finding,
-            suppressions=[
-                {"kind": "external", "justification": "ratchet baseline entry"}
-            ],
-        )
-        for finding in sorted(report.baselined)
     ]
     return {
         "$schema": _SCHEMA,

@@ -156,8 +156,6 @@ GF_FIELD_VALUE_METHODS = frozenset(
         "inverse_elements",
         "power",
         "exp",
-        "scale",
-        "axpy",
         "linear_combination",
         "random",
         "random_nonzero",
@@ -199,8 +197,6 @@ GF_CONSUMER_METHODS = frozenset(
         "multiply",
         "multiply_direct",
         "divide",
-        "scale",
-        "axpy",
         "linear_combination",
         "elements_to_bytes",
     }

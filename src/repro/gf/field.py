@@ -279,12 +279,9 @@ class GaloisField:
             raise ZeroDivisionError("division by zero in Galois field")
         mul_group = self.order - 1
         idx = self._log[a].astype(np.int64) - self._log[b].astype(np.int64) + mul_group
-        out = self._exp2[idx].astype(self.dtype)
-        zero = a == 0
-        if zero.ndim == 0:
-            return self.dtype.type(0) if zero else out[()] if out.ndim == 0 else out
-        out[zero] = 0
-        return out
+        # ``a == 0`` broadcasts against the quotient like the operands do.
+        out = np.where(a == 0, 0, self._exp2[idx]).astype(self.dtype)
+        return out[()] if out.ndim == 0 else out
 
     def inverse_elements(self, a) -> np.ndarray:
         """Multiplicative inverse of every element of ``a``."""
@@ -322,14 +319,6 @@ class GaloisField:
     # ------------------------------------------------------------------
     # fragment-level kernels (the paper's "linear combinations")
     # ------------------------------------------------------------------
-
-    def scale(self, coefficient, vector) -> np.ndarray:
-        """Multiply a whole fragment (element vector) by one coefficient."""
-        return self.multiply(coefficient, vector)
-
-    def axpy(self, coefficient, x, y) -> np.ndarray:
-        """Return ``coefficient * x + y`` -- the core combination step."""
-        return self.add(self.scale(coefficient, x), y)
 
     def linear_combination(self, coefficients, vectors) -> np.ndarray:
         """Combine ``n`` fragments with ``n`` coefficients.

@@ -3,7 +3,7 @@
 Same contract as ``test_reprolint_rules.py``: each rule has a
 ``<code>_bad.py`` fixture that must trip at pinned lines and a
 ``<code>_good.py`` near-miss fixture that must stay clean.  The flow
-family only runs under ``flow=True`` and only on production code.
+family runs only on production code.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ def lint_flow(*names: str, role: str = "src"):
         [FIXTURES / name for name in names],
         force_role=role,
         select=["RL5"],
-        flow=True,
     )
     assert not report.errors, [error.render() for error in report.errors]
     return report
@@ -109,13 +108,6 @@ def test_rl504_good_fixture_is_clean():
 # ------------------------------------------------------------- gating
 
 
-def test_flow_family_is_off_without_the_flag():
-    report = run_lint(
-        [FIXTURES / "rl501_bad.py"], force_role="src", select=["RL5"]
-    )
-    assert report.findings == []
-
-
 def test_flow_family_skips_test_role():
     # Test code blocks, tears, and leaks on purpose.
     assert lint_flow("rl502_bad.py", role="test").findings == []
@@ -129,6 +121,6 @@ def test_suppression_comments_apply_to_flow_findings(tmp_path):
     )
     target = tmp_path / "patched.py"
     target.write_text(patched, encoding="utf-8")
-    report = run_lint([target], force_role="src", select=["RL5"], flow=True)
+    report = run_lint([target], force_role="src", select=["RL5"])
     assert [finding.line for finding in report.suppressed] == [10]
     assert [finding.line for finding in report.findings] == [13, 16, 19]

@@ -110,7 +110,6 @@ def test_json_report_schema(capsys):
         "files_checked",
         "findings",
         "suppressed",
-        "baselined",
         "errors",
     }
     assert payload["schema_version"] == REPORT_SCHEMA_VERSION
@@ -210,76 +209,18 @@ def test_sarif_output_file_alongside_text_format(tmp_path, capsys):
     assert len(payload["runs"][0]["results"]) == 3
 
 
-# ---------------------------------------------------------------- baseline
+# ------------------------------------------------------- flow + timing
 
 
-def test_baseline_round_trip_tolerates_recorded_findings(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    target = str(FIXTURES / "rl104_bad.py")
-
-    # 1. record the current findings: exits 0 and writes the ratchet.
-    code = main([target, "--force-role", "src", "--baseline", str(baseline),
-                 "--update-baseline"])
-    assert code == 0
-    assert "baseline" in capsys.readouterr().err
-    entries = json.loads(baseline.read_text(encoding="utf-8"))["entries"]
-    assert entries and all(e["fingerprint"].count("::") == 2 for e in entries)
-
-    # 2. the same run against the baseline is now green; the findings
-    #    move to "baselined" instead of disappearing.
-    code = main([target, "--force-role", "src", "--baseline", str(baseline),
-                 "--format", "json"])
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["findings"] == []
-    assert len(payload["baselined"]) == 3
-
-
-def test_baseline_is_a_ratchet_new_findings_stay_live(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    recorded = str(FIXTURES / "rl104_bad.py")
-    main([recorded, "--force-role", "src", "--baseline", str(baseline),
-          "--update-baseline"])
-    capsys.readouterr()
-
-    # a file the baseline has never seen still fails the run.
+def test_select_rl5_runs_the_flow_family_via_main(capsys):
+    # No flag turns the flow family on: every run runs every family.
     code = main(
-        [recorded, str(FIXTURES / "rl201_bad.py"), "--force-role", "src",
-         "--baseline", str(baseline), "--format", "json"]
+        [str(FIXTURES / "rl502_bad.py"), "--force-role", "src",
+         "--select", "RL5"]
     )
     assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert {f["code"] for f in payload["findings"]} == {"RL201"}
-    assert {f["code"] for f in payload["baselined"]} == {"RL104"}
-
-
-def test_update_baseline_requires_baseline_path(capsys):
-    code = main([str(FIXTURES / "rl104_bad.py"), "--update-baseline"])
-    assert code == 2
-    assert "--update-baseline requires --baseline" in capsys.readouterr().err
-
-
-def test_corrupt_baseline_is_a_usage_error(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text('{"version": 99}', encoding="utf-8")
-    code = main(
-        [str(FIXTURES / "rl104_bad.py"), "--baseline", str(baseline)]
-    )
-    assert code == 2
-    assert "cannot load baseline" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------- flow + timing
-
-
-def test_flow_flag_enables_rl5xx_via_main(capsys):
-    code = main(
-        [str(FIXTURES / "rl501_bad.py"), "--force-role", "src",
-         "--select", "RL5", "--flow"]
-    )
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "RL501" in out
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split()[1] for line in lines] == ["RL502"] * 4
 
 
 def test_time_limit_zero_always_fails(capsys):
