@@ -26,9 +26,9 @@ Pieces use the versioned binary format of
 the code parameters and original file size (plus, for ``net``, the
 piece -> peer placement map).
 
-Fatal errors (truncated or corrupt piece files, missing manifests,
-unreachable peers, code or policy parameters no scheme accepts) print
-one clear message to stderr and exit 1.
+Fatal errors (unreadable input files, truncated or corrupt piece
+files, missing manifests, unreachable peers, code or policy parameters
+no scheme accepts) print one clear message to stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -102,9 +102,16 @@ def _read_pieces(paths: list[str]):
 # ----------------------------------------------------------------------
 
 
+def _read_source(source: pathlib.Path) -> bytes:
+    try:
+        return source.read_bytes()
+    except OSError as exc:
+        raise CLIError(f"cannot read {source}: {exc}") from None
+
+
 def cmd_encode(args: argparse.Namespace) -> int:
     source = pathlib.Path(args.file)
-    data = source.read_bytes()
+    data = _read_source(source)
     params = RCParams(k=args.k, h=args.h, d=args.d, i=args.i)
     code = RandomLinearRegeneratingCode(
         params, field=GF(args.q), rng=np.random.default_rng(args.seed)
@@ -154,7 +161,7 @@ def _decode_chunked(args: argparse.Namespace, manifest: dict) -> int:
     """Decode a --chunk-size encoding: positional arg is the pieces root."""
     code = _code_from_manifest(manifest, args.seed)
     if len(args.pieces) != 1:
-        raise SystemExit(
+        raise CLIError(
             "chunked decode takes the pieces root directory as its only "
             "positional argument"
         )
@@ -225,7 +232,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
 def cmd_info(args: argparse.Namespace) -> int:
     for path in args.pieces:
-        blob = pathlib.Path(path).read_bytes()
+        try:
+            blob = pathlib.Path(path).read_bytes()
+        except OSError as exc:
+            raise CLIError(f"cannot read piece file {path}: {exc}") from None
         try:
             piece, field = piece_from_bytes(blob)
         except SerializationError as exc:
@@ -433,10 +443,7 @@ def cmd_net_put(args: argparse.Namespace) -> int:
     from repro.net.errors import NetError
 
     source = pathlib.Path(args.file)
-    try:
-        data = source.read_bytes()
-    except OSError as exc:
-        raise CLIError(f"cannot read {source}: {exc}") from None
+    data = _read_source(source)
     peers = [_parse_peer(text) for text in args.peers.split(",") if text]
     if not peers:
         raise CLIError("--peers needs at least one host:port")

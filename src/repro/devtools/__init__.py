@@ -5,17 +5,14 @@ The one tool that lives here today is **reprolint**
 invariants generic linters cannot know about this codebase --
 
 - **RL1xx (asyncio)**: the networked subsystem is a concurrent asyncio
-  daemon/client/pool stack, so un-awaited coroutines, swallowed
-  cancellation, locks held across network awaits, and dropped
-  ``create_task`` handles are the bug classes that survive unit tests
-  and surface only under chaos load;
-- **RL2xx (GF domain)**: values produced by :mod:`repro.gf` live in
-  GF(2^q) -- plain integer ``+``/``*`` on them is silently wrong
-  arithmetic, and arrays fed to the field kernels must carry the field
-  dtype;
-- **RL3xx (wire protocol)**: the RGNP opcode table, the server dispatch,
-  and the client methods must not drift apart, and wire-format constants
-  have exactly one source of truth.
+  daemon/client/pool stack, so a broad handler that swallows
+  cancellation is a bug class that survives unit tests and surfaces
+  only under chaos load;
+- **RL4xx (observability)**: durations come from the monotonic
+  nanosecond clock, never from wall-clock subtraction;
+- **RL5xx (flow)**: CFG and call-graph analysis of the asyncio stack --
+  torn read-modify-write across an await, blocking work reachable from
+  a coroutine, and resource leak paths.
 
 Run it with ``python -m repro.devtools.lint src tests`` (see
 ``docs/TESTING.md``, "Static analysis").  The imports here are lazy so

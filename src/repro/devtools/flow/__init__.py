@@ -11,8 +11,7 @@ The package splits per-file analysis from whole-project analysis (see
   leak paths) plus the per-function summaries the interprocedural
   passes consume;
 - :mod:`repro.devtools.flow.callgraph` -- whole-project resolution and
-  the interprocedural rules (RL502 blocking reachability, RL504
-  lock-order cycles);
+  the interprocedural rule (RL502 blocking reachability);
 - :mod:`repro.devtools.flow.rules` -- the :class:`FlowRule` project rule
   gluing it all into the reprolint engine.
 """

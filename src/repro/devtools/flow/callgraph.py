@@ -1,4 +1,4 @@
-"""The whole-project call graph and the interprocedural RL5xx passes.
+"""The whole-project call graph and the interprocedural RL502 pass.
 
 Resolution is *name-based and conservative-quiet*: an edge exists only
 when the target is unambiguous.
@@ -17,17 +17,12 @@ Unresolved calls produce **no** edge and therefore no finding: the
 engine prefers silence to speculation, and the fixture suite pins the
 cases that must resolve.
 
-On top of the graph:
-
-- **RL502**: every sync function gets a transitive *blocking effect*
-  (the first blocking primitive reachable through sync calls, with the
-  call chain); an async function calling a blocking primitive directly,
-  or any sync function whose effect is non-empty, is a finding at the
-  call site.  Async callees are skipped -- they are analyzed themselves.
-- **RL504**: each function's transitively acquired locks; a call made
-  while holding lock A into code that acquires lock B contributes the
-  ordered pair A->B, as does a directly nested ``async with``.  A cycle
-  in the resulting order digraph is a deadlock schedule.
+On top of the graph, **RL502**: every sync function gets a transitive
+*blocking effect* (the first blocking primitive reachable through sync
+calls, with the call chain); an async function calling a blocking
+primitive directly, or any sync function whose effect is non-empty, is
+a finding at the call site.  Async callees are skipped -- they are
+analyzed themselves.
 """
 
 from __future__ import annotations
@@ -59,7 +54,6 @@ class CallGraph:
                 else:
                     self.module_functions.setdefault((fn.module, fn.name), fn)
         self._blocking_memo: dict = {}
-        self._locks_memo: dict = {}
 
     # -- resolution ----------------------------------------------------
 
@@ -154,83 +148,3 @@ class CallGraph:
                         "stalls for the duration -- offload with `await "
                         "asyncio.to_thread(...)`",
                     )
-
-    # -- RL504: lock-order cycles ---------------------------------------
-
-    def transitive_locks(self, fn):
-        """Locks ``fn`` may acquire, directly or through sync/async callees."""
-        memo = self._locks_memo
-        key = fn.qualname
-        if key in memo:
-            return memo[key]
-        memo[key] = frozenset()  # cycle guard
-        locks = {entry["lock"] for entry in fn.locks_acquired}
-        for call in fn.calls:
-            callee = self.resolve(fn, call.ref)
-            if callee is None or callee is fn:
-                continue
-            locks |= self.transitive_locks(callee)
-        memo[key] = frozenset(locks)
-        return memo[key]
-
-    def lock_order_edges(self):
-        """``{(outer, inner): (file, line, col, via)}`` -- first site wins."""
-        edges: dict = {}
-        for info in self.files:
-            for fn in info.functions:
-                for outer, inner, line, col in fn.lock_pairs:
-                    edges.setdefault(
-                        (outer, inner), (info, line, col, fn.display)
-                    )
-                for call in fn.calls:
-                    if not call.locks:
-                        continue
-                    callee = self.resolve(fn, call.ref)
-                    if callee is None:
-                        continue
-                    for inner in sorted(self.transitive_locks(callee)):
-                        for outer in call.locks:
-                            if outer == inner:
-                                continue
-                            edges.setdefault(
-                                (outer, inner),
-                                (info, call.line, call.col, fn.display),
-                            )
-        return edges
-
-    def iter_rl504(self):
-        edges = self.lock_order_edges()
-        adjacency: dict = {}
-        for outer, inner in edges:
-            adjacency.setdefault(outer, set()).add(inner)
-
-        def find_cycle(start):
-            stack = [(start, [start])]
-            while stack:
-                node, path = stack.pop()
-                for succ in sorted(adjacency.get(node, ())):
-                    if succ == start:
-                        return path + [start]
-                    if succ not in path:
-                        stack.append((succ, path + [succ]))
-            return None
-
-        reported: set = set()
-        for start in sorted(adjacency):
-            cycle = find_cycle(start)
-            if cycle is None:
-                continue
-            key = frozenset(cycle)
-            if key in reported:
-                continue
-            reported.add(key)
-            info, line, col, via = edges[(cycle[0], cycle[1])]
-            route = " -> ".join(cycle)
-            yield (
-                info,
-                line,
-                col,
-                f"lock-acquisition-order cycle {route} (first edge taken in "
-                f"`{via}`); two tasks traversing it in opposite orders "
-                "deadlock -- impose one global acquisition order",
-            )

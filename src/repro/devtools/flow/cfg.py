@@ -11,9 +11,9 @@ Two annotations ride on every node:
 - **locks**: the set of lock identities held when the node executes,
   derived from enclosing ``async with <lock>:`` regions.  A context
   expression is a lock when its terminal name contains one of
-  :data:`repro.devtools.tables.LOCK_NAME_HINTS`; ``self._lock`` in class
-  ``C`` gets the qualified identity ``"C._lock"`` so the cross-function
-  RL504 pass can match acquisitions between methods.
+  :data:`repro.devtools.tables.LOCK_NAME_HINTS`.  ``self._lock`` gets
+  the identity ``"self._lock"``, so RL501 never mistakes another
+  object's ``_lock`` for the one covering a ``self`` attribute.
 - **raise edges**: any node that evaluates a call, an await, or an
   assert may transfer control to the innermost enclosing handler (or
   function exit).  RL503 walks these edges, which is how it sees the
@@ -63,9 +63,8 @@ class CFGNode:
 class CFG:
     """The graph: nodes indexed by id, with ``entry`` and ``exit``."""
 
-    def __init__(self, func, class_name: str | None):
+    def __init__(self, func):
         self.func = func
-        self.class_name = class_name
         self.nodes: list[CFGNode] = []
         self.entry: int = 0
         self.exit: int = 0
@@ -95,10 +94,10 @@ def _is_lock_expr(expr: ast.AST) -> bool:
     return any(hint in lowered for hint in LOCK_NAME_HINTS)
 
 
-def _lock_identity(expr: ast.AST, class_name: str | None) -> str:
+def _lock_identity(expr: ast.AST) -> str:
     if isinstance(expr, ast.Attribute):
-        if isinstance(expr.value, ast.Name) and expr.value.id == "self" and class_name:
-            return f"{class_name}.{expr.attr}"
+        if isinstance(expr.value, ast.Name) and expr.value.id == "self":
+            return f"self.{expr.attr}"
         return expr.attr
     if isinstance(expr, ast.Name):
         return expr.id
@@ -133,9 +132,8 @@ def _part_ast(stmt: ast.stmt, part: str) -> ast.AST:
 
 
 class _Builder:
-    def __init__(self, func, class_name: str | None):
-        self.cfg = CFG(func, class_name)
-        self.class_name = class_name
+    def __init__(self, func):
+        self.cfg = CFG(func)
         entry = self._new(None, "entry", "whole", frozenset())
         exit_ = self._new(None, "exit", "whole", frozenset())
         self.cfg.entry = entry
@@ -229,9 +227,7 @@ class _Builder:
             if isinstance(stmt, ast.AsyncWith):
                 for item in stmt.items:
                     if _is_lock_expr(item.context_expr):
-                        body_locks = body_locks | {
-                            _lock_identity(item.context_expr, self.class_name)
-                        }
+                        body_locks = body_locks | {_lock_identity(item.context_expr)}
             enter = self._stmt_node(stmt, "enter", locks)
             self._edges(preds, enter)
             body_end = self._block(stmt.body, [enter], body_locks)
@@ -335,10 +331,6 @@ class _Builder:
         return [nid]
 
 
-def build_cfg(func, *, class_name: str | None = None) -> CFG:
-    """Build the CFG of one ``def``/``async def``.
-
-    ``class_name`` qualifies ``self.<attr>`` lock identities so RL504
-    can correlate acquisitions across methods of the same class.
-    """
-    return _Builder(func, class_name).build()
+def build_cfg(func) -> CFG:
+    """Build the CFG of one ``def``/``async def``."""
+    return _Builder(func).build()

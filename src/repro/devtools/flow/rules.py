@@ -2,8 +2,8 @@
 
 One :class:`~repro.devtools.rules.base.ProjectRule` owns the whole
 family -- the per-file passes share CFG construction and the
-interprocedural passes need every file's summary, so splitting into four
-rule objects would re-analyze the tree four times.  ``--select RL503``
+interprocedural pass needs every file's summary, so splitting into three
+rule objects would re-analyze the tree three times.  ``--select RL503``
 still works: the engine filters by code after emission.
 
 Production-code only (``roles={"src"}``): test code blocks, tears state,
@@ -28,9 +28,9 @@ class FlowRule(ProjectRule):
     name = "flow-async"
     description = (
         "flow-sensitive async analysis: torn read-modify-write, blocking "
-        "reachability, resource leak paths, lock-order cycles"
+        "reachability, resource leak paths"
     )
-    codes = ("RL501", "RL502", "RL503", "RL504")
+    codes = ("RL501", "RL502", "RL503")
     code_descriptions = {
         "RL501": "shared self-attribute read-modify-write torn across an "
         "await without a covering lock",
@@ -38,7 +38,6 @@ class FlowRule(ProjectRule):
         "kernels) reachable from async context",
         "RL503": "acquired resource with a path to function exit that "
         "skips release",
-        "RL504": "lock-acquisition-order cycle across the call graph",
     }
     roles = frozenset({"src"})
 
@@ -47,12 +46,7 @@ class FlowRule(ProjectRule):
         for info in infos:
             yield from info.local_findings
 
-        graph = CallGraph(infos)
-        for info, line, col, message in graph.iter_rl502():
+        for info, line, col, message in CallGraph(infos).iter_rl502():
             yield Finding(
                 path=info.path, line=line, col=col, code="RL502", message=message
-            )
-        for info, line, col, message in graph.iter_rl504():
-            yield Finding(
-                path=info.path, line=line, col=col, code="RL504", message=message
             )

@@ -17,9 +17,8 @@ This module owns everything computable from one file alone:
   (passing it to a callee, returning it, storing it in a container or
   attribute) is a leak path.
 
-- **Function summaries** -- call sites (with held-lock context), direct
-  blocking-primitive hits, and lock acquisitions, for the
-  interprocedural RL502/RL504 passes in
+- **Function summaries** -- call sites and direct blocking-primitive
+  hits, for the interprocedural RL502 pass in
   :mod:`~repro.devtools.flow.callgraph`.
 """
 
@@ -29,14 +28,7 @@ import ast
 import dataclasses
 import pathlib
 
-from repro.devtools.flow.cfg import (
-    CFG,
-    CFGNode,
-    _is_lock_expr,
-    _lock_identity,
-    _part_ast,
-    build_cfg,
-)
+from repro.devtools.flow.cfg import CFG, CFGNode, _part_ast, build_cfg
 from repro.devtools.findings import Finding
 from repro.devtools.tables import (
     BLOCKING_FILE_METHODS,
@@ -62,13 +54,11 @@ class CallSite:
     ref: list  # [name] or [receiver, name]; receiver "?" when dynamic
     line: int
     col: int
-    awaited: bool
-    locks: list  # lock identities held at the call
 
 
 @dataclasses.dataclass
 class FunctionSummary:
-    """Everything the interprocedural passes need about one function."""
+    """Everything the interprocedural pass needs about one function."""
 
     module: str
     cls: str | None  # owning class for direct methods, else None
@@ -78,10 +68,6 @@ class FunctionSummary:
     calls: list  # list[CallSite]
     #: Blocking primitives executed directly: [{"label", "line", "col"}].
     direct_blocking: list
-    #: Locks acquired (``async with``) here: [{"lock", "line", "col"}].
-    locks_acquired: list
-    #: ``[outer, inner, line, col]`` -- inner acquired while outer held.
-    lock_pairs: list
 
     @property
     def qualname(self) -> str:
@@ -548,28 +534,11 @@ def _iter_calls(root: ast.AST):
 def _summarize(cfg: CFG, func, module: str, cls: str | None) -> FunctionSummary:
     calls: list = []
     direct_blocking: list = []
-    locks_acquired: list = []
-    lock_pairs: list = []
 
     for node in cfg.nodes:
         if node.stmt is None:
             continue
-        if node.part == "enter" and isinstance(node.stmt, ast.AsyncWith):
-            for item in node.stmt.items:
-                if _is_lock_expr(item.context_expr):
-                    lock = _lock_identity(item.context_expr, cfg.class_name)
-                    entry = {"lock": lock, "line": node.line, "col": 1}
-                    locks_acquired.append(entry)
-                    for outer in sorted(node.locks):
-                        lock_pairs.append([outer, lock, node.line, 1])
-
-        root = _part_ast(node.stmt, node.part)
-        awaits = {
-            id(sub.value)
-            for sub in ast.walk(root)
-            if isinstance(sub, ast.Await) and isinstance(sub.value, ast.Call)
-        }
-        for call in _iter_calls(root):
+        for call in _iter_calls(_part_ast(node.stmt, node.part)):
             ref = _call_ref(call)
             if ref is None:
                 continue
@@ -592,15 +561,7 @@ def _summarize(cfg: CFG, func, module: str, cls: str | None) -> FunctionSummary:
                 continue
             if len(ref) == 2 and ref[0] in ("?",) and name in RESOURCE_RELEASE_METHODS:
                 continue
-            calls.append(
-                CallSite(
-                    ref=ref,
-                    line=line,
-                    col=col,
-                    awaited=id(call) in awaits,
-                    locks=sorted(node.locks),
-                )
-            )
+            calls.append(CallSite(ref=ref, line=line, col=col))
 
     return FunctionSummary(
         module=module,
@@ -610,8 +571,6 @@ def _summarize(cfg: CFG, func, module: str, cls: str | None) -> FunctionSummary:
         lineno=func.lineno,
         calls=calls,
         direct_blocking=direct_blocking,
-        locks_acquired=locks_acquired,
-        lock_pairs=lock_pairs,
     )
 
 
@@ -621,25 +580,20 @@ def _summarize(cfg: CFG, func, module: str, cls: str | None) -> FunctionSummary:
 
 
 def _iter_functions(tree: ast.AST):
-    """Yield ``(func, method_class, lock_class)`` for every function.
+    """Yield ``(func, method_class)`` for every function.
 
-    ``method_class`` is set only for direct class-body methods (call
-    resolution); ``lock_class`` is the nearest enclosing class (lock
-    identity -- a closure's ``self`` is the enclosing instance).
+    ``method_class`` is set only for direct class-body methods, which is
+    what call resolution keys ``self.meth()`` on.
     """
 
-    def visit(node, method_class, lock_class):
+    def visit(node):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from visit(child, None, child.name)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner = lock_class if isinstance(node, ast.ClassDef) else None
-                yield child, owner, lock_class
-                yield from visit(child, None, lock_class)
-            else:
-                yield from visit(child, method_class, lock_class)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name if isinstance(node, ast.ClassDef) else None
+                yield child, owner
+            yield from visit(child)
 
-    yield from visit(tree, None, None)
+    yield from visit(tree)
 
 
 def analyze_file(ctx) -> FileFlowInfo:
@@ -648,8 +602,8 @@ def analyze_file(ctx) -> FileFlowInfo:
     module = _module_name(pathlib.Path(path))
     functions: list = []
     local_findings: list = []
-    for func, method_class, lock_class in _iter_functions(ctx.tree):
-        cfg = build_cfg(func, class_name=lock_class)
+    for func, method_class in _iter_functions(ctx.tree):
+        cfg = build_cfg(func)
         if isinstance(func, ast.AsyncFunctionDef):
             _rl501(cfg, func, path, local_findings)
         _rl503(cfg, func, path, local_findings)

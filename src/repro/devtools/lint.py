@@ -16,7 +16,7 @@ Every run runs every rule family, the flow-sensitive RL5xx analysis
 budget.
 
 Suppression is the only way to tolerate a finding: append
-``# reprolint: disable=RL104`` (comma-separate for several codes,
+``# reprolint: disable=RL102`` (comma-separate for several codes,
 ``disable=all`` for everything) to the offending line, with a comment
 saying why.  Suppressed findings still appear in the JSON report under
 ``"suppressed"`` so they can be audited; the policy in
@@ -24,9 +24,9 @@ saying why.  Suppressed findings still appear in the JSON report under
 suppressed* -- disables are for deliberate, commented exceptions only.
 
 Roles: files under a directory named ``tests`` are linted as test code,
-everything else as production code; some rules (the GF-domain and
-wire-constant families) only apply to production code, where tests
-legitimately build raw arrays and malformed frames on purpose.
+everything else as production code; some rules (the wall-clock and
+flow families) only apply to production code, where tests legitimately
+time with the wall clock, block and leak on purpose.
 ``--force-role`` overrides the detection (the fixture suite uses it).
 """
 
@@ -148,8 +148,8 @@ def run_lint(
 ) -> LintReport:
     """Lint ``paths`` (files and/or directories) and return the report.
 
-    ``select``/``ignore`` take full codes or prefixes (``RL1`` matches
-    the whole asyncio family); a rule none of whose codes is wanted is
+    ``select``/``ignore`` take full codes or prefixes (``RL5`` matches
+    the whole flow family); a rule none of whose codes is wanted is
     not run.  ``force_role`` pins every file to one role instead of
     inferring test-ness from the path.
     """
@@ -200,7 +200,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.lint",
         description="reprolint: project-aware static analysis "
-        "(asyncio, GF-domain, wire-protocol, observability and flow rules)",
+        "(asyncio, observability and flow rules)",
     )
     parser.add_argument("paths", nargs="*", default=(), help="files or directories")
     parser.add_argument(

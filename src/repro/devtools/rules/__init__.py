@@ -1,17 +1,12 @@
 """The reprolint rule registry.
 
-Five families, mirroring where this project's bugs actually live:
+Three families, each kept because it has caught defects in this
+project's history:
 
-- **RL1xx** asyncio (un-awaited coroutines, swallowed exceptions, locks
-  across network awaits, dropped task handles);
-- **RL2xx** GF(2^q) domain (plain arithmetic on field elements, raw
-  arrays into field kernels);
-- **RL3xx** wire protocol (opcode/dispatch/client drift, duplicated
-  wire-format constants);
-- **RL4xx** observability (wall-clock latency arithmetic, metric names
-  outside the registry scheme);
+- **RL1xx** asyncio (swallowed exceptions);
+- **RL4xx** observability (wall-clock latency arithmetic);
 - **RL5xx** flow-sensitive async analysis (torn read-modify-write,
-  blocking reachability, resource leak paths, lock-order cycles).
+  blocking reachability, resource leak paths).
 
 Every run runs every family; ``--select``/``--ignore`` filter by code.
 """
@@ -19,16 +14,9 @@ Every run runs every family; ``--select``/``--ignore`` filter by code.
 from __future__ import annotations
 
 from repro.devtools.flow.rules import FlowRule
-from repro.devtools.rules.asyncio_rules import (
-    DroppedTaskRule,
-    LockAcrossNetworkAwaitRule,
-    SwallowedExceptionRule,
-    UnawaitedCoroutineRule,
-)
+from repro.devtools.rules.asyncio_rules import SwallowedExceptionRule
 from repro.devtools.rules.base import ProjectRule, Rule
-from repro.devtools.rules.gf_rules import PlainArithmeticOnGFRule, RawArrayIntoGFRule
-from repro.devtools.rules.obs_rules import MetricNameRule, WallClockLatencyRule
-from repro.devtools.rules.protocol_rules import ProtocolDriftRule, WireConstantRule
+from repro.devtools.rules.obs_rules import WallClockLatencyRule
 
 __all__ = [
     "Rule",
@@ -41,16 +29,8 @@ __all__ = [
 
 #: Every rule, instantiated once; the engine runs each of them.
 ALL_RULES: tuple[Rule, ...] = (
-    UnawaitedCoroutineRule(),
     SwallowedExceptionRule(),
-    LockAcrossNetworkAwaitRule(),
-    DroppedTaskRule(),
-    PlainArithmeticOnGFRule(),
-    RawArrayIntoGFRule(),
-    ProtocolDriftRule(),
-    WireConstantRule(),
     WallClockLatencyRule(),
-    MetricNameRule(),
     FlowRule(),
 )
 

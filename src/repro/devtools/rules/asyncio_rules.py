@@ -1,9 +1,9 @@
-"""RL1xx: asyncio rules for the concurrent daemon/client/pool stack.
+"""RL1xx: the asyncio rule for the concurrent daemon/client/pool stack.
 
-These are the bug classes PRs 1-3 actually shipped (or nearly shipped):
-coroutines built and dropped, broad handlers eating errors silently,
-mutual exclusion held across a slow peer's network round trip, and task
-handles garbage-collected mid-flight.
+A broad handler that eats what it catches is the bug class that
+survives unit tests and surfaces only under chaos load: a swallowed
+``asyncio.CancelledError`` keeps a cancelled task running, and a silent
+``except Exception: pass`` hides real defects.
 """
 
 from __future__ import annotations
@@ -12,73 +12,9 @@ import ast
 from typing import Iterator
 
 from repro.devtools.findings import Finding
-from repro.devtools.rules.base import (
-    Rule,
-    call_name,
-    iter_with_async_context,
-    terminal_name,
-)
-from repro.devtools.tables import (
-    ASYNC_METHODS,
-    ASYNC_MODULE_FUNCTIONS,
-    ASYNCIO_COROUTINE_FUNCTIONS,
-    LOCK_NAME_HINTS,
-    NETWORK_AWAIT_NAMES,
-    TASK_SPAWN_NAMES,
-)
+from repro.devtools.rules.base import Rule, terminal_name
 
-__all__ = [
-    "UnawaitedCoroutineRule",
-    "SwallowedExceptionRule",
-    "LockAcrossNetworkAwaitRule",
-    "DroppedTaskRule",
-]
-
-
-class UnawaitedCoroutineRule(Rule):
-    """RL101: a known-async API called as a bare statement, un-awaited.
-
-    The call builds a coroutine object and throws it away: the request
-    never happens, and Python only tells you via a ``RuntimeWarning``
-    nobody reads under pytest.  Matches (a) the module-level coroutine
-    functions of ``repro.net.protocol`` and ``asyncio.<fn>`` factories
-    anywhere, and (b) known-async *method* names when the enclosing
-    function is ``async def``.
-    """
-
-    code = "RL101"
-    name = "unawaited-coroutine"
-    description = "known-async API called without await; the coroutine is dropped"
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node, in_async in iter_with_async_context(ctx.tree):
-            if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
-                continue
-            call = node.value
-            func = call.func
-            if isinstance(func, ast.Name) and func.id in ASYNC_MODULE_FUNCTIONS:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"coroutine `{func.id}(...)` is never awaited; "
-                    f"the message is silently not sent/read",
-                )
-            elif isinstance(func, ast.Attribute):
-                receiver = terminal_name(func.value)
-                if receiver == "asyncio" and func.attr in ASYNCIO_COROUTINE_FUNCTIONS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`asyncio.{func.attr}(...)` returns an awaitable that is "
-                        f"dropped here",
-                    )
-                elif in_async and func.attr in ASYNC_METHODS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`.{func.attr}(...)` is async on the repro.net surface; "
-                        f"calling it without await drops the coroutine",
-                    )
+__all__ = ["SwallowedExceptionRule"]
 
 
 def _handler_breadth(handler: ast.ExceptHandler) -> str | None:
@@ -154,86 +90,4 @@ class SwallowedExceptionRule(Rule):
                     "`except Exception` silently discards the error; narrow it "
                     "to the exceptions this block can handle, re-raise, or "
                     "log the bound exception",
-                )
-
-
-class LockAcrossNetworkAwaitRule(Rule):
-    """RL103: a lock/semaphore held across an await of network I/O.
-
-    One slow or stalled peer inside the critical section serializes
-    every other coroutine queued on the primitive.  Compute first or
-    copy state out, then talk to the network outside the ``async with``.
-    """
-
-    code = "RL103"
-    name = "lock-across-network-await"
-    description = "asyncio lock/semaphore held across an await of network I/O"
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.AsyncWith):
-                continue
-            guard = None
-            for item in node.items:
-                name = terminal_name(item.context_expr)
-                if name is None and isinstance(item.context_expr, ast.Call):
-                    name = call_name(item.context_expr)
-                if name is not None and any(
-                    hint in name.lower() for hint in LOCK_NAME_HINTS
-                ):
-                    guard = name
-                    break
-            if guard is None:
-                continue
-            for stmt in node.body:
-                for child in ast.walk(stmt):
-                    if not isinstance(child, ast.Await):
-                        continue
-                    awaited = child.value
-                    target = None
-                    if isinstance(awaited, ast.Call):
-                        target = call_name(awaited)
-                        # unwrap asyncio.wait_for(inner(...), timeout=...)
-                        if (
-                            target in ("wait_for", "wait")
-                            and awaited.args
-                            and isinstance(awaited.args[0], ast.Call)
-                        ):
-                            target = call_name(awaited.args[0])
-                    if target in NETWORK_AWAIT_NAMES:
-                        yield self.finding(
-                            ctx,
-                            child,
-                            f"`await {target}(...)` runs while `{guard}` is "
-                            f"held; one stalled peer blocks every waiter -- "
-                            f"move the network I/O outside the critical "
-                            f"section",
-                        )
-
-
-class DroppedTaskRule(Rule):
-    """RL104: ``create_task`` / ``ensure_future`` result discarded.
-
-    The event loop keeps only a weak reference to running tasks: a
-    handle nobody stores can be garbage-collected mid-flight, and its
-    exception (if any) is reported to nobody.  Keep the handle in a
-    tracked set (see ``PeerDaemon._handlers``) or await it.
-    """
-
-    code = "RL104"
-    name = "dropped-task"
-    description = "create_task/ensure_future handle dropped without tracking"
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Expr) or not isinstance(node.value, ast.Call):
-                continue
-            name = call_name(node.value)
-            if name in TASK_SPAWN_NAMES:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{name}(...)` handle is dropped; the task may be "
-                    f"garbage-collected mid-flight and its exception lost -- "
-                    f"store it in a tracked set or await it",
                 )

@@ -1,4 +1,4 @@
-"""Rule base classes and the small AST helpers every rule family shares."""
+"""Rule base classes and the small AST helpers the per-file rules share."""
 
 from __future__ import annotations
 
@@ -11,9 +11,6 @@ __all__ = [
     "Rule",
     "ProjectRule",
     "terminal_name",
-    "call_name",
-    "enclosing_functions",
-    "iter_with_async_context",
     "iter_scopes",
     "iter_scope_nodes",
 ]
@@ -24,8 +21,8 @@ class Rule:
 
     ``roles`` limits where the rule runs: ``{"src", "test"}`` rules see
     everything, ``{"src"}`` rules skip test files (tests legitimately
-    craft malformed frames and raw arrays that production code must
-    not).
+    time with the wall clock, block and leak on purpose, where
+    production code must not).
     """
 
     code: str = "RL000"
@@ -53,24 +50,15 @@ class Rule:
 
 
 class ProjectRule(Rule):
-    """A rule that needs to see several files at once (e.g. the opcode
-    table in ``protocol.py`` against the dispatch in ``server.py``).
-    Subclasses that emit several codes list them in ``codes``."""
+    """A rule that needs to see several files at once (the RL5xx flow
+    analysis resolves calls across the whole project).  Subclasses that
+    emit several codes list them in ``codes``."""
 
     def check_project(self, ctxs) -> Iterator[Finding]:
         raise NotImplementedError
 
     def check(self, ctx) -> Iterator[Finding]:  # pragma: no cover - unused
         return iter(())
-
-    def finding_in(self, ctx, node: ast.AST, code: str, message: str) -> Finding:
-        return Finding(
-            path=str(ctx.path),
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0) + 1,
-            code=code,
-            message=message,
-        )
 
 
 def terminal_name(node: ast.AST) -> str | None:
@@ -84,20 +72,6 @@ def terminal_name(node: ast.AST) -> str | None:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def call_name(call: ast.Call) -> str | None:
-    """The terminal name of a call's callee (``None`` for lambdas etc.)."""
-    return terminal_name(call.func)
-
-
-def enclosing_functions(tree: ast.AST):
-    """Yield ``(function_node, is_async)`` for every function in ``tree``."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.AsyncFunctionDef):
-            yield node, True
-        elif isinstance(node, ast.FunctionDef):
-            yield node, False
 
 
 def iter_scopes(tree: ast.AST):
@@ -132,26 +106,3 @@ def iter_scope_nodes(scope: ast.AST):
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             yield from visit(stmt)
-
-
-def iter_with_async_context(tree: ast.AST):
-    """Yield ``(node, in_async)`` for every node, tracking whether the
-    nearest enclosing function is ``async def``.
-
-    A nested ``def`` inside an ``async def`` resets the flag (its body
-    runs synchronously), and vice versa for an ``async def`` nested in a
-    plain function.
-    """
-
-    def visit(node: ast.AST, in_async: bool):
-        yield node, in_async
-        if isinstance(node, ast.AsyncFunctionDef):
-            child_async = True
-        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            child_async = False
-        else:
-            child_async = in_async
-        for child in ast.iter_child_nodes(node):
-            yield from visit(child, child_async)
-
-    yield from visit(tree, False)

@@ -1,22 +1,13 @@
-"""RL4xx: observability rules.
+"""RL4xx: the observability rule.
 
-The obs layer only stays trustworthy if every producer plays by two
-rules: durations come from the monotonic high-resolution clock
-(``repro.obs.now_ns``, backed by ``perf_counter_ns``), and metric names
-follow the ``domain.noun_verb`` scheme the registry validates at
-runtime.  These rules move both failures from "first scrape of a
-production snapshot" to "lint in CI":
-
-- **RL401** flags latency arithmetic on ``time.time()`` /
-  ``time.monotonic()`` values.  Wall-clock differences jump under NTP
-  steps, and float seconds lose nanosecond resolution exactly where
-  handler latencies live; ``now_ns()`` has neither problem.
-- **RL402** checks every *literal* metric name handed to
-  ``counter()``/``gauge()``/``histogram()`` on a registry-shaped
-  receiver against the runtime's own regex and domain table, so a typo
-  fails review instead of raising at first request served.  Dynamic
-  names (the span layer builds ``"span." + path``) are left to the
-  runtime check.
+The obs layer only stays trustworthy if every duration comes from the
+monotonic high-resolution clock (``repro.obs.now_ns``, backed by
+``perf_counter_ns``).  **RL401** flags latency arithmetic on
+``time.time()`` / ``time.monotonic()`` values: wall-clock differences
+jump under NTP steps, and float seconds lose nanosecond resolution
+exactly where handler latencies live; ``now_ns()`` has neither problem.
+Metric names need no lint rule: ``repro.obs.registry`` validates each
+one when its instrument is created.
 """
 
 from __future__ import annotations
@@ -31,15 +22,9 @@ from repro.devtools.rules.base import (
     iter_scopes,
     terminal_name,
 )
-from repro.devtools.tables import (
-    OBS_INSTRUMENT_METHODS,
-    OBS_METRIC_DOMAINS,
-    OBS_METRIC_NAME_RE,
-    OBS_REGISTRY_RECEIVERS,
-    WALL_CLOCK_FUNCTIONS,
-)
+from repro.devtools.tables import WALL_CLOCK_FUNCTIONS
 
-__all__ = ["WallClockLatencyRule", "MetricNameRule"]
+__all__ = ["WallClockLatencyRule"]
 
 
 def _is_wall_clock_call(node: ast.AST) -> str | None:
@@ -59,7 +44,7 @@ def _is_wall_clock_call(node: ast.AST) -> str | None:
 class WallClockLatencyRule(Rule):
     """RL401: a latency computed by subtracting wall-clock timestamps.
 
-    The taint is scope-local, like RL201: a name assigned from
+    The taint is scope-local: a name assigned from
     ``time.time()``/``time.monotonic()`` used on either side of ``-``
     (or ``-=``), or a direct wall-clock call inside the subtraction.
     Plain timestamping (logging an epoch second, scheduling) never
@@ -114,59 +99,3 @@ class WallClockLatencyRule(Rule):
                             "repro.obs.now_ns() so durations are monotonic "
                             "nanoseconds",
                         )
-
-
-class MetricNameRule(Rule):
-    """RL402: a literal metric name outside the registry naming scheme.
-
-    Checks ``<receiver>.counter/gauge/histogram("name", ...)`` where the
-    receiver's terminal name marks it as a registry (``obs``,
-    ``registry``, ``metrics``).  The name must match the runtime regex
-    and start with a registered domain -- the same checks
-    ``MetricsRegistry`` applies, but at lint time and over dead code
-    paths too.
-    """
-
-    code = "RL402"
-    name = "metric-name-scheme"
-    description = (
-        "metric name does not follow the registered domain.noun_verb scheme"
-    )
-    roles = frozenset({"src"})
-
-    def check(self, ctx) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not (
-                isinstance(func, ast.Attribute)
-                and func.attr in OBS_INSTRUMENT_METHODS
-                and terminal_name(func.value) in OBS_REGISTRY_RECEIVERS
-            ):
-                continue
-            if not node.args:
-                continue
-            first = node.args[0]
-            if not (isinstance(first, ast.Constant) and isinstance(first.value, str)):
-                continue  # dynamic names are validated at runtime
-            name = first.value
-            if OBS_METRIC_NAME_RE.match(name) is None:
-                yield self.finding(
-                    ctx,
-                    first,
-                    f"metric name {name!r} does not match the "
-                    f"`domain.noun_verb` scheme "
-                    f"(regex {OBS_METRIC_NAME_RE.pattern!r})",
-                )
-                continue
-            domain = name.split(".", 1)[0]
-            if domain not in OBS_METRIC_DOMAINS:
-                known = ", ".join(sorted(OBS_METRIC_DOMAINS))
-                yield self.finding(
-                    ctx,
-                    first,
-                    f"metric name {name!r} uses unregistered domain "
-                    f"{domain!r} (known: {known}); add it to "
-                    f"repro.obs.registry.METRIC_DOMAINS or fix the name",
-                )

@@ -1,33 +1,17 @@
 """The project-knowledge tables the reprolint rules match against.
 
-Everything reprolint knows about *this* codebase -- which names are
-coroutines, which names produce GF(2^q) values, which byte strings are
-wire-format constants -- lives here, in one reviewable place.  Adding a
-new async API or a new field kernel means adding its name to the right
-set; the rules themselves never change.
+Everything reprolint knows about *this* codebase and the stdlib it
+drives -- which calls block, which names are GF kernels, which
+attributes hold which project class -- lives here, in one reviewable
+place.  Adding a new blocking primitive or a new field kernel means
+adding its name to the right set; the rules themselves never change.
 """
 
 from __future__ import annotations
 
-from repro.obs.registry import METRIC_DOMAINS, METRIC_NAME_RE
-
 __all__ = [
-    "ASYNC_MODULE_FUNCTIONS",
-    "ASYNCIO_COROUTINE_FUNCTIONS",
-    "ASYNC_METHODS",
-    "TASK_SPAWN_NAMES",
-    "NETWORK_AWAIT_NAMES",
     "LOCK_NAME_HINTS",
-    "GF_FIELD_VALUE_METHODS",
     "GF_LINALG_FUNCTIONS",
-    "GF_CONSUMER_METHODS",
-    "NUMPY_CONSTRUCTORS",
-    "WIRE_MAGIC_LITERALS",
-    "WIRE_SIZE_LITERALS",
-    "OBS_METRIC_DOMAINS",
-    "OBS_METRIC_NAME_RE",
-    "OBS_REGISTRY_RECEIVERS",
-    "OBS_INSTRUMENT_METHODS",
     "WALL_CLOCK_FUNCTIONS",
     "BLOCKING_MODULE_CALLS",
     "BLOCKING_FILE_METHODS",
@@ -40,135 +24,14 @@ __all__ = [
     "STDLIB_MODULE_RECEIVERS",
 ]
 
-#: Module-level coroutine functions of :mod:`repro.net.protocol`; calling
-#: one anywhere without ``await`` is always a bug (RL101).
-ASYNC_MODULE_FUNCTIONS = frozenset(
-    {"read_message", "read_message_sized", "write_message"}
-)
-
-#: ``asyncio.<name>`` calls that return a coroutine/awaitable; discarding
-#: one is always a bug (RL101).
-ASYNCIO_COROUTINE_FUNCTIONS = frozenset(
-    {
-        "sleep",
-        "wait_for",
-        "gather",
-        "wait",
-        "open_connection",
-        "start_server",
-        "to_thread",
-    }
-)
-
-#: Method names that are ``async def`` on the repro.net surface
-#: (PeerClient, PeerDaemon, Coordinator, LocalCluster, ConnectionPool,
-#: StreamWriter/StreamReader).  Calling one as a bare statement inside an
-#: ``async def`` drops the coroutine un-awaited (RL101).  Names here must
-#: be unambiguous enough that a discarded *sync* call of the same name
-#: inside async code would itself be suspect.
-ASYNC_METHODS = frozenset(
-    {
-        # PeerClient
-        "ping",
-        "is_alive",
-        "store_piece",
-        "get_piece",
-        "get_coefficients",
-        "get_rows",
-        "get_stats",
-        "repair_read",
-        "request",
-        "aclose",
-        # Coordinator
-        "insert",
-        "repair",
-        "reconstruct",
-        # PeerDaemon / LocalCluster
-        "serve_forever",
-        "kill",
-        "restart",
-        "spawn",
-        "decommission",
-        # repro.scenario.ScenarioRunner
-        "run_scenario",
-        "apply_event",
-        "run_window",
-        "repair_degraded",
-        "verify_files",
-        # streams / sync primitives
-        "drain",
-        "wait_closed",
-        "readexactly",
-        "acquire",
-    }
-)
-
-#: Call names that spawn a task whose handle must be kept (RL104).
-TASK_SPAWN_NAMES = frozenset({"create_task", "ensure_future"})
-
-#: Awaited call names that perform network I/O; holding a lock or
-#: semaphore across one of these serializes the swarm behind a single
-#: slow peer (RL103).
-NETWORK_AWAIT_NAMES = frozenset(
-    {
-        "read_message",
-        "read_message_sized",
-        "write_message",
-        "open_connection",
-        "drain",
-        "readexactly",
-        "sendall",
-        "connect",
-        "request",
-        "ping",
-        "store_piece",
-        "get_piece",
-        "get_coefficients",
-        "get_rows",
-        "get_stats",
-        "repair_read",
-        "_converse",
-        "_request_once",
-        # scenario engine: each of these drives coordinator traffic
-        "run_scenario",
-        "run_window",
-        "repair_degraded",
-        "verify_files",
-        "insert",
-        "repair",
-        "reconstruct",
-    }
-)
-
-#: Substrings identifying a context-manager expression as a mutual
-#: exclusion primitive in ``async with`` (RL103).
+#: Substrings identifying an ``async with`` context expression as a
+#: mutual exclusion primitive; the flow CFG records the locks held at
+#: each statement, which is what covers an RL501 read-to-write window.
 LOCK_NAME_HINTS = ("lock", "sem", "mutex")
 
-#: ``GaloisField`` methods whose return value is a GF(2^q) element array;
-#: plain integer arithmetic on such a value is wrong arithmetic (RL201).
-GF_FIELD_VALUE_METHODS = frozenset(
-    {
-        "add",
-        "subtract",
-        "multiply",
-        "multiply_direct",
-        "divide",
-        "inverse_elements",
-        "power",
-        "exp",
-        "linear_combination",
-        "random",
-        "random_nonzero",
-        "zeros",
-        "ones",
-        "eye",
-        "asarray",
-        "bytes_to_elements",
-    }
-)
-
-#: :mod:`repro.gf.linalg` functions whose return value lives in the field
-#: (RL201) and whose array arguments must carry the field dtype (RL202).
+#: :mod:`repro.gf.linalg` and :mod:`repro.gf.kernels` entry points that
+#: run a whole product or elimination (RL502, via
+#: :data:`CPU_HEAVY_GF_CALLS`).
 GF_LINALG_FUNCTIONS = frozenset(
     {
         "gf_matmul",
@@ -186,57 +49,6 @@ GF_LINALG_FUNCTIONS = frozenset(
         "extract_and_invert",
     }
 )
-
-#: ``GaloisField`` methods that *consume* element arrays: feeding them a
-#: raw numpy constructor without an explicit dtype risks silent uint8 /
-#: uint16 truncation against GF(2^16) tables (RL202).
-GF_CONSUMER_METHODS = frozenset(
-    {
-        "add",
-        "subtract",
-        "multiply",
-        "multiply_direct",
-        "divide",
-        "linear_combination",
-        "elements_to_bytes",
-    }
-)
-
-#: numpy array constructors RL202 refuses to see inline (dtype-less) in a
-#: GF API argument position.
-NUMPY_CONSTRUCTORS = frozenset(
-    {"array", "asarray", "zeros", "ones", "empty", "full", "arange"}
-)
-
-#: Byte literals that duplicate a wire-format source of truth (RL303).
-WIRE_MAGIC_LITERALS = {
-    b"RGNP": "repro.net.protocol.PROTOCOL_MAGIC",
-    b"RGC1": "repro.core.serialization.MAGIC",
-}
-
-#: Integer literals (including ``1 << 28`` spellings) that duplicate the
-#: frame-size limit (RL303).
-WIRE_SIZE_LITERALS = {
-    1 << 28: "repro.net.protocol.MAX_BODY_BYTES",
-}
-
-#: Files that *define* the wire-format constants and are therefore
-#: allowed to spell them as literals.
-WIRE_SOURCE_FILES = frozenset({"protocol.py", "serialization.py"})
-
-#: The metric naming scheme (RL402) is owned by :mod:`repro.obs.registry`
-#: -- the runtime validates every name against the same regex and domain
-#: set, so the linter re-exports rather than duplicates them.
-OBS_METRIC_DOMAINS = METRIC_DOMAINS
-OBS_METRIC_NAME_RE = METRIC_NAME_RE
-
-#: Receiver names that identify an expression as a metrics registry
-#: (``self.obs.counter(...)``, ``registry.histogram(...)``); RL402 checks
-#: the literal metric name at such call sites.
-OBS_REGISTRY_RECEIVERS = frozenset({"obs", "registry", "metrics"})
-
-#: The registry's instrument factories RL402 inspects.
-OBS_INSTRUMENT_METHODS = frozenset({"counter", "gauge", "histogram"})
 
 #: ``time.<name>()`` calls whose difference is a wall-clock latency --
 #: subject to NTP steps and smearing; RL401 wants

@@ -295,12 +295,13 @@ class GaloisField:
             if n < 0:
                 raise ZeroDivisionError("negative power of zero in Galois field")
             if n == 0:
-                return self.ones(a.shape)
-            out = self.zeros(a.shape)
-            nz = a != 0
-            idx = (self._log[a[nz]].astype(np.int64) * n) % mul_group
-            out[nz] = self._exp2[idx].astype(self.dtype)
-            return out
+                out = self.ones(a.shape)
+            else:
+                out = self.zeros(a.shape)
+                nz = a != 0
+                idx = (self._log[a[nz]].astype(np.int64) * n) % mul_group
+                out[nz] = self._exp2[idx].astype(self.dtype)
+            return out[()] if out.ndim == 0 else out
         idx = (self._log[a].astype(np.int64) * n) % mul_group
         return self._exp2[idx].astype(self.dtype)
 

@@ -29,8 +29,8 @@ per update and records nothing; its snapshot is valid but empty.
 
 Metric names follow ``domain.noun_verb``: a known domain
 (:data:`METRIC_DOMAINS`), then one or more dot-separated snake_case
-segments.  Names are validated at instrument creation; reprolint RL402
-enforces the same table statically (``repro.devtools.tables``).
+segments.  Names are validated at instrument creation (:func:`_check_name`),
+so an off-scheme name fails the first time its code runs.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ DEFAULT_LATENCY_BUCKETS_NS: tuple[int, ...] = tuple(
 ) + (10**10,)
 
 #: The first segment every metric name must carry -- one per
-#: instrumented subsystem.  Mirrored by reprolint's RL402 table.
+#: instrumented subsystem.
 METRIC_DOMAINS = frozenset(
     {"daemon", "client", "pool", "coordinator", "store", "span", "scenario", "bench"}
 )

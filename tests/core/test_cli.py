@@ -280,6 +280,29 @@ class TestCorruptPieceFiles:
         ]) == 1
         assert "cannot read piece file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["info", "encode"])
+    def test_missing_input_file_is_one_error_line(self, tmp_path, command, capsys):
+        missing = tmp_path / "nonexistent.rgc"
+        argv = [command, str(missing)]
+        if command == "encode":
+            argv += ["--out-dir", str(tmp_path / "pieces")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read ") and str(missing) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_chunked_decode_with_several_roots_is_one_error_line(
+        self, tmp_path, source_file, capsys
+    ):
+        out_dir = encode(tmp_path, source_file, extra=["--chunk-size", "2048"])
+        assert main([
+            "decode", str(out_dir), str(out_dir),
+            "--manifest", str(out_dir / "manifest.json"),
+            "--out", str(tmp_path / "r.bin"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: chunked decode takes the pieces root")
+
     def test_missing_manifest_exits_nonzero(self, tmp_path, source_file, capsys):
         out_dir = encode(tmp_path, source_file)
         pieces = sorted(str(path) for path in out_dir.glob("piece_*.rgc"))[:4]

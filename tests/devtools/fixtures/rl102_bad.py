@@ -11,19 +11,19 @@ def swallows_silently(risky):
 def swallows_base(risky):
     try:
         risky()
-    except BaseException:  # line 13: eats CancelledError/KeyboardInterrupt
+    except BaseException:  # line 14: eats CancelledError/KeyboardInterrupt
         return None
 
 
 def swallows_bare(risky):
     try:
         risky()
-    except:  # noqa: E722  # line 19: bare except without re-raise
+    except:  # noqa: E722  # line 21: bare except without re-raise
         return None
 
 
 def binds_but_never_uses(risky):
     try:
         risky()
-    except Exception as exc:  # line 25: bound name never referenced
+    except Exception as exc:  # line 28: bound name never referenced
         return None

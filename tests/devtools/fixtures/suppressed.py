@@ -4,21 +4,30 @@ Policy reminder (docs/TESTING.md): disables are for deliberate,
 commented exceptions -- pre-existing defects get fixed, not suppressed.
 """
 
-import asyncio
+
+def justified_best_effort(cleanup):
+    try:
+        cleanup()
+    except Exception:  # reprolint: disable=RL102
+        pass  # best-effort cleanup in this (contrived) scenario
 
 
-async def justified_fire_and_forget(handler):
-    # The loop owns this task's lifetime in this (contrived) scenario.
-    asyncio.create_task(handler())  # reprolint: disable=RL104
+def multi_code_suppression(cleanup):
+    try:
+        cleanup()
+    except Exception:  # reprolint: disable=RL401,RL102
+        pass
 
 
-async def multi_code_suppression(handler):
-    asyncio.create_task(handler())  # reprolint: disable=RL101,RL104
+def suppress_all(cleanup):
+    try:
+        cleanup()
+    except Exception:  # reprolint: disable=all
+        pass
 
 
-async def suppress_all(handler):
-    asyncio.create_task(handler())  # reprolint: disable=all
-
-
-async def still_caught(handler):
-    asyncio.create_task(handler())  # wrong code: # reprolint: disable=RL101
+def still_caught(cleanup):
+    try:
+        cleanup()
+    except Exception:  # wrong code: # reprolint: disable=RL401
+        pass

@@ -197,56 +197,3 @@ def test_mutual_recursion_terminates_clean():
         """,
     )
     assert rl502_messages(module) == []
-
-
-# ---------------------------------------------------------------- RL504
-
-
-def test_lock_order_edge_via_callee():
-    module = info(
-        "src/app/locks.py",
-        """
-        class Shared:
-            async def outer_path(self):
-                async with self._a_lock:
-                    await self.grab_b()
-
-            async def grab_b(self):
-                async with self._b_lock:
-                    pass
-
-            async def reversed_path(self):
-                async with self._b_lock:
-                    async with self._a_lock:
-                        pass
-        """,
-    )
-    graph = CallGraph([module])
-    assert graph.transitive_locks(module.functions[1]) == frozenset(
-        {"Shared._b_lock"}
-    )
-    edges = graph.lock_order_edges()
-    assert ("Shared._a_lock", "Shared._b_lock") in edges  # via the call
-    assert ("Shared._b_lock", "Shared._a_lock") in edges  # directly nested
-    cycles = list(graph.iter_rl504())
-    assert len(cycles) == 1
-    assert "Shared._a_lock" in cycles[0][3] and "Shared._b_lock" in cycles[0][3]
-
-
-def test_consistent_order_has_no_cycle():
-    module = info(
-        "src/app/locks.py",
-        """
-        class Shared:
-            async def one(self):
-                async with self._a_lock:
-                    async with self._b_lock:
-                        pass
-
-            async def two(self):
-                async with self._a_lock:
-                    async with self._b_lock:
-                        pass
-        """,
-    )
-    assert list(CallGraph([module]).iter_rl504()) == []

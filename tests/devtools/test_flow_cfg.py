@@ -15,11 +15,11 @@ import textwrap
 from repro.devtools.flow import build_cfg
 
 
-def func_cfg(source: str, *, class_name: str | None = None):
+def func_cfg(source: str):
     tree = ast.parse(textwrap.dedent(source).lstrip("\n"))
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return build_cfg(node, class_name=class_name)
+            return build_cfg(node)
     raise AssertionError("no function in source")
 
 
@@ -98,14 +98,16 @@ def test_async_with_lock_annotates_body_nodes():
             async def m(self):
                 async with self._lock:
                     self.x = 1
-                self.y = 2
+                async with peer._lock:
+                    self.y = 2
+                self.z = 3
         """,
-        class_name="C",
     )
-    inside = node_at(cfg, 4)
-    outside = node_at(cfg, 5)
-    assert inside.locks == frozenset({"C._lock"})
-    assert outside.locks == frozenset()
+    # Another object's lock of the same name is a different lock: it
+    # cannot cover a window on a ``self`` attribute (RL501).
+    assert node_at(cfg, 4).locks == frozenset({"self._lock"})
+    assert node_at(cfg, 6).locks == frozenset({"_lock"})
+    assert node_at(cfg, 7).locks == frozenset()
 
 
 def test_nested_async_with_accumulates_locks():
@@ -117,10 +119,9 @@ def test_nested_async_with_accumulates_locks():
                     async with self._inner_lock:
                         self.x = 1
         """,
-        class_name="C",
     )
     innermost = node_at(cfg, 5)
-    assert innermost.locks == frozenset({"C._outer_lock", "C._inner_lock"})
+    assert innermost.locks == frozenset({"self._outer_lock", "self._inner_lock"})
 
 
 def test_non_lock_context_manager_adds_no_lock():
@@ -131,7 +132,6 @@ def test_non_lock_context_manager_adds_no_lock():
                 async with self.session:
                     self.x = 1
         """,
-        class_name="C",
     )
     assert node_at(cfg, 4).locks == frozenset()
 

@@ -90,21 +90,6 @@ def test_rl503_good_fixture_is_clean():
     assert lint_flow("rl503_good.py").findings == []
 
 
-# ---------------------------------------------------------------- RL504
-
-
-def test_rl504_flags_opposite_acquisition_orders():
-    report = lint_flow("rl504_bad.py")
-    assert [finding.code for finding in report.findings] == ["RL504"]
-    message = report.findings[0].message
-    assert "Transfer._source_lock" in message
-    assert "Transfer._target_lock" in message
-
-
-def test_rl504_good_fixture_is_clean():
-    assert lint_flow("rl504_good.py").findings == []
-
-
 # ------------------------------------------------------------- gating
 
 

@@ -90,6 +90,26 @@ class TestScalarArithmetic:
         assert np.asarray(got).dtype == gf256.dtype
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize(
+        "op",
+        [
+            lambda f, x: f.power(x, 3),
+            lambda f, x: f.power(x, 0),
+            lambda f, x: f.multiply(x, 7),
+            lambda f, x: f.multiply(7, x),
+            lambda f, x: f.divide(x, 7),
+            lambda f, x: f.inverse_elements(x + 1),  # zero has no inverse
+        ],
+        ids=["power", "power0", "multiply_left", "multiply_right", "divide", "inverse"],
+    )
+    @pytest.mark.parametrize("x", [0, 2])
+    def test_scalar_operands_give_numpy_scalars(self, gf256, op, x):
+        # Zero and non-zero operands take different branches; both must
+        # unwrap to a scalar of the field dtype, never a 0-d array.
+        got = op(gf256, x)
+        assert isinstance(got, np.generic)
+        assert got.dtype == gf256.dtype
+
     def test_inverse_elements(self, any_field):
         values = np.arange(1, any_field.order, dtype=any_field.dtype)
         inverses = any_field.inverse_elements(values)
