@@ -15,14 +15,16 @@ Both compute the same field products, so their bytes are equal.
 **Selection.**  Products of at least ``_XOR_MIN_ROWS`` (96) rows and
 ``_XOR_MIN_COLUMNS`` (64) columns take the XOR path, all others the log
 path.  Single-thread CPU time of the XOR path over the log path's,
-GF(2^16), on the 2-vCPU box the ledger runs on, by rows::
+GF(2^16), on the 2-vCPU box the ledger runs on, by rows (erasure and
+bulk columns measured against the wide-tile log step below, best of
+7 and of 3 interleaved runs)::
 
     rows m   k=319, n=1644   k=32, n=16384   k=31, n=270600
              (paper)         (erasure)       (bulk)
-    32       1.64            1.50            2.91
-    64       0.97            0.91            1.11
-    96       0.67            0.66-0.85       0.79
-    128      0.52            0.60            0.68
+    32       1.64            2.55            2.75
+    64       0.97            1.63            1.65
+    96       0.67            1.23            1.25
+    128      0.52            1.03            1.03
     319      0.31            -               -
     640      0.25            -               -
 
@@ -33,10 +35,10 @@ those and every repair keep the log path.  Elimination in
 on stacks of 192 rows or more, and they take the path :func:`matmul`
 picks: the XOR path on the paper's 320 x 319 reconstruct stack.
 Smaller stacks eliminate without calling it.  The row threshold is 96
-because the XOR path already wins there with two workers as well as one
-(0.64 and 0.68 of the log path's wall time at 96 rows, k=319 and k=32
-shapes, 2 workers).  Only the bulk shape turns at 96 rows with two
-workers (1.24 at k=31, n=67650), and no bulk product has 96 rows.  The
+because the XOR path already wins there at the paper's width with two
+workers as well as one (0.64 of the log path's wall time at 96 rows,
+k=319, 2 workers).  At erasure and bulk widths the log path's wide tiles
+hold out to 128 rows, but no product of those widths has 96 rows.  The
 96-127-row band is where figure 4's small grids encode: RC(8,8,10,3)
 stacks a 96 x 42 product, which at 128 rows took the log path and cost
 as much wall time as RC(8,8,15,7)'s 2.5x larger XOR product.
@@ -55,23 +57,45 @@ rows ``n`` elements long.  By columns::
 64 KiB file.  At 64 columns a 128-row product still loses up to 1.5 ms,
 where 256 rows gain 2 ms and 640 rows 9 ms.
 
-**Log path** (:func:`_log_product`, one row shard in :func:`_accumulate`).
+**Log path** (:func:`_log_product`, one column shard in
+:func:`_log_columns`).  Every product is one index into the
+zero-extended ``GaloisField._exp0`` by a sum of two logs
+(``GaloisField._log0``, zero mapped to a sentinel): exact for zero and
+unit operands with no masking and no special case.  A shard's tiles run
+in one of two regimes, chosen by its tile width alone:
 
-1. *Logs once per column tile.*  Per tile of at most ``col_block``
-   data columns the data's logs are taken once into an int32 scratch tile
-   (``GaloisField._log0``, zero mapped to a sentinel), so every product
-   after that is one index into the zero-extended ``_exp0`` -- exact for
-   zero and unit operands with no masking and no special case.
+1. *Wide tiles* (at least ``_LOG_WIDE_COLUMNS``, 4096 columns: erasure-
+   and bulk-sized data).  Per tile and data row ``j`` the row's logs are
+   taken once into one intp row of ``tile`` elements (a cast copy, then
+   an in-place take from ``GaloisField._log0_intp``), and every output
+   row ``i`` reuses it: one ``np.take(exp0[log a_ij:], row, out=prod,
+   mode="clip")`` from an offset view of the exp table, then one XOR
+   into the output row.  No add, no index widening, no k x tile log
+   tile; scratch is one log row and one product row per shard.
 
-2. *Chunked add -> take -> xor.*  Output rows are visited in chunks
-   sized so ``rows x tile columns`` is about ``_CHUNK`` elements, and each
-   inner column ``j`` costs one ``GaloisField._xor_outer`` step into
-   preallocated buffers: ``np.take(..., out=, mode="clip")``, which is
-   several times cheaper than a fancy-index gather and bounds-proven
-   because the index is a sum of two logs.  For wide operands the tile
-   alone fills a chunk, rows = 1, and the step degenerates to an
-   add-free offset view of the exp table.  Scratch is tile x (k + chunk
-   rows), never proportional to an operand.
+2. *Narrow tiles* (the paper newcomer's 10 x 40 x 1644, small files,
+   :func:`matvec`).  Per tile the data's logs are taken once into an
+   int32 (k, width) scratch tile; output rows are visited in chunks
+   sized so ``rows x width`` is about ``_CHUNK`` elements, and each inner
+   column ``j`` costs one ``GaloisField._xor_outer`` step, add -> take
+   -> xor, into preallocated buffers.  Fewer, larger numpy calls is what
+   narrow data needs; each ``np.take`` widens its int32 index chunk to a
+   transient intp copy (at most ``_CHUNK`` x 8 bytes).
+
+``np.take(..., out=, mode="clip")`` is several times cheaper than a
+fancy-index gather, and bounds-proven because its index is a log or a
+sum of two.  Single-thread CPU time of the wide step over the narrow
+step, GF(2^16), best of 15 interleaved runs, by tile width::
+
+    (m, k)      n=512   1024   2048   4096        6144   8192        16384
+    (64, 32)    2.68    1.65   1.08   0.99-1.05   0.89   0.84-0.87   0.74
+    (32, 32)    -       1.66   1.08   1.03        0.90   0.84        0.88
+    (10, 40)    -       -      1.15*  0.99        -      0.88        -
+    (8, 8)      -       1.32   1.03   1.02        0.92   0.91        0.81
+
+(* at n = 1644.)  Below 4096 columns the wide step's ``2 m k`` numpy
+calls per tile cost more than the narrow step's add saves; the
+wall-clock claims' 128 KiB files (~2048 columns) stay narrow.
 
 **XOR path** (:func:`_xor_product`, one column shard in
 :func:`_xor_columns`).  Write a coefficient ``c = sum_t c_t x^t``.  Then
@@ -98,20 +122,20 @@ of ``a[i, j]`` is set, and no product is looked up per element.
 
 **Fan-out.**  A product of ``m x k x n`` element operations is split
 into ``min(workers, m k n // _MIN_SHARD_OPS)`` shards (``workers``:
-``REPRO_GF_WORKERS``, else the CPUs this process may run on): by output
-rows on the log path, one tile at a time, and by column ranges on the
-XOR path, each shard running its own tiles.  The calling thread
-allocates all scratch -- the shared log tile or bit patterns and each
-shard's own buffers -- runs the last shard itself and hands the rest to
-one process-wide pool whose threads are created once; numpy releases
-the GIL inside each call.  Shard bodies allocate no array: the XOR
-path's ``np.take`` reads intp indices and writes into its gather buffer,
-and only numpy's fixed per-call iterator buffers remain; the log path's
-``np.take`` still widens each int32 index chunk to a transient intp copy
-(at most ``_CHUNK`` x 8 bytes).  Below ``2 * _MIN_SHARD_OPS`` (every
-repair, erasure- and small-file-sized products) the product runs inline
-and the pool is never touched.  Shards never overlap, so results are
-byte-identical for any worker count and any ``col_block``.
+``REPRO_GF_WORKERS``, else the CPUs this process may run on) by column
+ranges on both paths, each shard cutting its range into the fewest
+near-equal tiles (:func:`_column_shards`).  The calling thread
+allocates all scratch -- the shared coefficient logs or bit patterns
+and each shard's own buffers -- runs the last shard itself and hands
+the rest to one process-wide pool whose threads are created once; numpy
+releases the GIL inside each call, and the only barrier is the end of
+the product.  Shard bodies allocate no array on the XOR path and on
+wide log tiles: every ``np.take`` reads intp indices and writes into the
+shard's own buffer, and only numpy's fixed per-call iterator buffers
+remain.  Below ``2 * _MIN_SHARD_OPS`` (every repair, erasure- and
+small-file-sized products) the product runs inline and the pool is
+never touched.  Shards never overlap, so results are byte-identical for
+any worker count and any ``col_block``.
 
 :func:`_matmul_reference`, the seed broadcast algorithm, is not reachable
 at run time; it stays as the oracle the kernel tests compare against.
@@ -122,7 +146,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from concurrent.futures import Future, wait
 from typing import Any
 
@@ -144,18 +168,25 @@ __all__ = [
 #: Environment variable bounding the shard fan-out of :func:`matmul`.
 WORKERS_ENV = "REPRO_GF_WORKERS"
 
-#: Widest column tile: 2^15 elements fill one ``_CHUNK`` step on their
-#: own, so wide data runs one output row per step (the add-free path) and
-#: the int32 log tile stays at k x 128 KB.
-DEFAULT_COL_BLOCK = 1 << 15
+#: Widest column tile of the log path: a wide shard's intp log row is
+#: 512 KiB and each output row it sweeps 128 KiB.  On the bulk encode and
+#: decode with 2 workers, 2^16 took 0.85-0.87 of 2^15's median wall time
+#: and 2^14 1.13-1.20 (fewer numpy calls contend for the GIL); one worker
+#: measured within 5 % at all three.
+DEFAULT_COL_BLOCK = 1 << 16
 
 #: Element operations (m x k x n) per shard below which handing a shard to
 #: another thread costs more than it saves.  On a 2-vCPU VM two workers
-#: lose up to ~10^6 ops (a repair, a small file: x0.6-0.9), break even at
-#: 1-3 x 10^7 (erasure-sized products) and win x1.1-1.6 from ~7 x 10^7
-#: (the paper's and the bulk encode and decode); 2^25 puts the first
-#: split at 2^26 ops.
+#: lose up to ~10^6 ops (a repair, a small file: x0.6-0.9).  On the log
+#: path they still take 1.1x the wall time of one at 1.7-3.4 x 10^7 (the
+#: erasure decode and encode: halved tiles) and 0.6-0.7x from 6.7 x 10^7
+#: (the bulk encode and decode; the paper's XOR-path products win
+#: x1.1-1.6 there too); 2^25 puts the first split at 2^26 ops.
 _MIN_SHARD_OPS = 1 << 25
+
+#: Tile width from which the log path runs its wide step, one output row
+#: per offset-view take (the crossover table in the module docstring).
+_LOG_WIDE_COLUMNS = 1 << 12
 
 #: Coefficient rows and data columns from which :func:`matmul` takes the
 #: XOR path (the crossover tables in the module docstring).
@@ -251,77 +282,111 @@ def _validate(field: GaloisField, a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _accumulate(
+def _column_shards(n: int, shards: int, block: int) -> list[tuple[int, int, int]]:
+    """``(lo, hi, tile)`` per shard, at most one per column: near-equal
+    column ranges covering ``[0, n)``, each cut into the fewest near-equal
+    tiles no wider than ``block``, ``tile`` the widest of them."""
+    shards = min(shards, n)
+    ranges = []
+    for s in range(shards):
+        lo, hi = n * s // shards, n * (s + 1) // shards
+        spans = -(-(hi - lo) // block)
+        ranges.append((lo, hi, -(-(hi - lo) // spans)))
+    return ranges
+
+
+def _spans(lo: int, hi: int, tile: int) -> Iterator[tuple[int, int]]:
+    """The tiles ``(c0, c1)`` of one shard's range, as :func:`_column_shards`
+    cut them."""
+    spans = -(-(hi - lo) // tile)
+    for span in range(spans):
+        yield lo + (hi - lo) * span // spans, lo + (hi - lo) * (span + 1) // spans
+
+
+def _log_columns(
     field: GaloisField,
-    acc: np.ndarray,
+    out: np.ndarray,
     log_a: np.ndarray,
+    b: np.ndarray,
+    lo: int,
+    hi: int,
+    tile: int,
     logs: np.ndarray,
     idx: np.ndarray,
     prod: np.ndarray,
 ) -> None:
-    """``acc ^= a @ tile`` for one row shard, from both operands' logs.
+    """``out[:, lo:hi] = a @ b[:, lo:hi]`` from both operands' logs.
 
-    ``acc`` is the shard's (rows, width) block of the output, ``log_a``
-    its coefficient logs, ``logs`` the tile's data logs (shared, read
-    only), ``idx``/``prod`` its own (chunk rows, width) scratch.  Runs on
-    pool threads and calls no public kernel, so the caller's one
-    :func:`matmul` call is all a profiler sees; its one allocation is
-    ``np.take``'s intp copy of each ``idx`` chunk.
+    ``log_a`` holds the coefficient logs (shared, read only); ``logs``,
+    ``idx`` and ``prod`` are this shard's own flat scratch, sized by the
+    caller for its regime.  Wide tiles (``tile >= _LOG_WIDE_COLUMNS``):
+    ``logs`` is one intp row, taken once per data row and tile and reused
+    by every output row, each (row, coefficient) step one offset-view
+    take and one XOR; ``idx`` is unused.  Narrow tiles: ``logs`` is the
+    tile's (k, width) int32 logs and ``idx``/``prod`` one chunk's scratch
+    for :meth:`GaloisField._xor_outer`.  Like :func:`_xor_columns` this
+    runs on pool threads and calls no public kernel; on wide tiles it
+    allocates no array.  ``b`` was range-checked by :func:`_validate`, so
+    ``mode="clip"`` on its logs hides nothing.
     """
-    step = len(idx)
-    for start in range(0, len(acc), step):
-        block = acc[start : start + step]
-        log_rows = log_a[start : start + step]
-        step_idx, step_prod = idx[: len(block)], prod[: len(block)]
-        for j in range(len(logs)):
-            field._xor_outer(block, log_rows[:, j], logs[j], step_idx, step_prod)
+    m, k = log_a.shape
+    exp0 = field._exp0
+    if tile >= _LOG_WIDE_COLUMNS:
+        for c0, c1 in _spans(lo, hi, tile):
+            row, shot = logs[: c1 - c0], prod[: c1 - c0]
+            accs = [out[i, c0:c1] for i in range(m)]
+            for j in range(k):
+                # Elements cast into the intp row, then their logs taken
+                # in place: np.take would copy a field-dtype index to intp.
+                np.copyto(row, b[j, c0:c1])
+                np.take(field._log0_intp, row, out=row, mode="clip")
+                for acc, log in zip(accs, log_a[:, j].tolist()):
+                    np.take(exp0[log:], row, out=shot, mode="clip")
+                    np.bitwise_xor(acc, shot, out=acc)
+        return
+    step = len(idx) // tile
+    for c0, c1 in _spans(lo, hi, tile):
+        width = c1 - c0
+        tile_logs = logs[: k * width].reshape(k, width)
+        # Row by row: np.take first widens its indices to intp, and that
+        # temporary must not be the size of the tile.
+        for j in range(k):
+            np.take(field._log0, b[j, c0:c1], out=tile_logs[j], mode="clip")
+        for start in range(0, m, step):
+            block = out[start : start + step, c0:c1]
+            rows = len(block)
+            step_idx = idx[: rows * width].reshape(rows, width)
+            step_prod = prod[: rows * width].reshape(rows, width)
+            for j in range(k):
+                field._xor_outer(
+                    block, log_a[start : start + step, j], tile_logs[j], step_idx, step_prod
+                )
 
 
 def _log_product(
     field: GaloisField, a: np.ndarray, b: np.ndarray, out: np.ndarray,
     shards: int, col_block: int,
 ) -> None:
-    """The log path: ``out = a @ b`` by row shards, one tile at a time."""
+    """The log path: ``out = a @ b`` by column shards of :func:`_log_columns`."""
     m, k = a.shape
-    n = b.shape[1]
-    shards = min(shards, m)
-    log0 = field._log0
-    log_a = np.take(log0, a)
-    tile = min(n, col_block)
-    rows = max(1, _CHUNK // tile)
-    # Flat buffers, reshaped per tile so a ragged last tile gets contiguous
-    # views of the same memory: the log tile, and per shard its rows
-    # [lo, hi), chunk rows r and its idx/prod chunk scratch.
-    logs = np.empty(k * tile, dtype=np.int32)
-    blocks = []
-    for s in range(shards):
-        lo, hi = m * s // shards, m * (s + 1) // shards
-        r = min(rows, hi - lo)
-        idx = np.empty(r * tile, dtype=np.int32)
-        blocks.append((lo, hi, r, idx, np.empty(r * tile, dtype=field.dtype)))
-    for col_start in range(0, n, tile):
-        cols = slice(col_start, min(n, col_start + tile))
-        width = cols.stop - col_start
-        tile_logs = logs[: k * width].reshape(k, width)
-        # Row by row: np.take first widens its indices to intp, and that
-        # temporary must not be the size of the tile.  ``b`` was
-        # range-checked by _validate, so clip cannot hide anything.
-        for j in range(k):
-            np.take(log0, b[j, cols], out=tile_logs[j], mode="clip")
-        _run(
-            _accumulate,
-            [
-                (
-                    field,
-                    out[lo:hi, cols],
-                    log_a[lo:hi],
-                    tile_logs,
-                    idx[: r * width].reshape(r, width),
-                    prod[: r * width].reshape(r, width),
-                )
-                for lo, hi, r, idx, prod in blocks
-            ],
-        )
+    log_a = np.take(field._log0, a)
+    arg_sets = []
+    for lo, hi, tile in _column_shards(b.shape[1], shards, col_block):
+        if tile >= _LOG_WIDE_COLUMNS:
+            scratch = [
+                np.empty(tile, dtype=np.intp),
+                np.empty(0, dtype=np.int32),
+                np.empty(tile, dtype=field.dtype),
+            ]
+        else:
+            rows = min(m, max(1, _CHUNK // tile))
+            scratch = [
+                np.empty(k * tile, dtype=np.int32),
+                np.empty(rows * tile, dtype=np.int32),
+                np.empty(rows * tile, dtype=field.dtype),
+            ]
+        arg_sets.append((field, out, log_a, b, lo, hi, tile, *scratch))
+    _run(_log_columns, arg_sets)
 
 
 def _bit_patterns(field: GaloisField, a: np.ndarray) -> np.ndarray:
@@ -384,7 +449,7 @@ def _xor_columns(
     the one table row its pattern names -- ``np.take`` into ``gather``,
     then into the contiguous ``acc`` (three times cheaper than XOR into a
     strided view of ``out``).  All six are this shard's own flat scratch,
-    sized by the caller: like :func:`_accumulate` this runs on pool
+    sized by the caller: like :func:`_log_columns` this runs on pool
     threads and calls no public kernel, and it allocates no array.
     """
     q = field.q
@@ -393,10 +458,7 @@ def _xor_columns(
     nbits = b.shape[0] * q
     groups, batch = len(patterns), len(idx)
     basis_rows = len(basis) // tile
-    spans = -(-(hi - lo) // tile)
-    for span in range(spans):
-        c0 = lo + (hi - lo) * span // spans
-        c1 = lo + (hi - lo) * (span + 1) // spans
+    for c0, c1 in _spans(lo, hi, tile):
         width = c1 - c0
         total = acc[: m * width].reshape(m, width)
         total.fill(0)
@@ -439,16 +501,12 @@ def _xor_product(
     m = a.shape[0]
     n = b.shape[1]
     q = field.q
-    shards = min(shards, n)
     patterns = _bit_patterns(field, a)
     batch = min(_XOR_BATCH, len(patterns))
     # Basis rows a batch needs: whole b_j, its first bit anywhere in one.
     powers = -(-(batch * _XOR_GROUP + q - 1) // q) * q
     arg_sets = []
-    for s in range(shards):
-        lo, hi = n * s // shards, n * (s + 1) // shards
-        spans = -(-(hi - lo) // min(col_block, _XOR_TILE))
-        tile = -(-(hi - lo) // spans)
+    for lo, hi, tile in _column_shards(n, shards, min(col_block, _XOR_TILE)):
         scratch = [
             np.empty(batch * (tile << _XOR_GROUP), dtype=field.dtype),
             np.empty(powers * tile, dtype=field.dtype),
@@ -541,9 +599,12 @@ def default_workers() -> int:
     of CPUs this process may run on (its affinity mask, not the host's)."""
     raw = os.environ.get(WORKERS_ENV, "").strip()
     if raw:
-        workers = int(raw)
+        try:
+            workers = int(raw)
+        except ValueError:
+            workers = 0
         if workers < 1:
-            raise ValueError(f"{WORKERS_ENV} must be >= 1, got {workers}")
+            raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
         return workers
     return usable_cpus()
 

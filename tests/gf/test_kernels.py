@@ -21,7 +21,7 @@ table-driven XOR path from ``kernels._XOR_MIN_ROWS`` coefficient rows and
 ``_XOR_MIN_COLUMNS`` data columns up, the log path below either
 (:class:`TestPathSelection` pins which runs where, and
 :class:`TestTallProductMemory` that the XOR path's memory stays within
-the log path's).
+the log path's, and that neither path's shard bodies allocate an array).
 """
 
 import os
@@ -89,23 +89,35 @@ class TestExactness:
                 got = kernels.matmul(field, a, b, col_block=col_block)
                 assert np.array_equal(got, expected), (m, col_block)
 
-    @pytest.mark.parametrize("rows_per_step", [1, 2, 5])
+    @pytest.mark.parametrize("rows_per_step", [1, 2, 5, 9])
     def test_chunk_and_tile_boundaries(self, field, rows_per_step):
         """Row and column counts one either side of (and at multiples of)
-        the kernel's own step sizes, read from the module: a tile of
-        ``_CHUNK // r`` columns makes it run ``r`` output rows per step."""
+        the kernel's own step sizes, read from the module.  A tile of
+        ``_CHUNK // r`` columns runs ``r`` output rows per narrow step
+        where it is narrower than ``_LOG_WIDE_COLUMNS`` (r = 9), and wide
+        steps where it is not.  Widths one either side of that constant,
+        and tiles of unequal width (a ragged last tile), meet both
+        regimes; a zero coefficient row and a zero data column are
+        planted in every product."""
         tile = kernels._CHUNK // rows_per_step
+        wide = kernels._LOG_WIDE_COLUMNS
         assert tile <= kernels.DEFAULT_COL_BLOCK
+        cases = [(n, tile) for n in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1)]
+        cases += [(n, kernels.DEFAULT_COL_BLOCK) for n in (wide - 1, wide, wide + 1)]
+        cases += [(2 * wide - 1, wide), (2 * wide + 1, wide + 1), (3 * wide - 2, wide)]
         rng = np.random.default_rng(field.q + rows_per_step)
-        for n in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1):
+        for n, col_block in cases:
             # The last m takes the XOR path, whose own tile is narrower.
             for m in {max(rows_per_step - 1, 1), rows_per_step, rows_per_step + 1,
                       2 * rows_per_step, 2 * rows_per_step + 1, kernels._XOR_MIN_ROWS}:
                 a = field.random((m, 2), rng)
                 b = field.random((2, n), rng)
-                got = kernels.matmul(field, a, b, col_block=tile)
+                a[m // 2] = 0
+                b[:, n // 2] = 0
+                got = kernels.matmul(field, a, b, col_block=col_block)
                 assert np.array_equal(got, kernels._matmul_reference(field, a, b)), (m, n)
                 assert np.array_equal(got, kernels.matmul(field, a, b)), (m, n)
+                assert not got[m // 2].any() and not got[:, n // 2].any(), (m, n)
 
     def test_zero_and_unit_coefficients(self, field):
         """Zero and unit coefficients are exact through the sentinel."""
@@ -189,53 +201,82 @@ class TestPathSelection:
         def refuse(*args):
             raise AssertionError("the log path ran")
 
-        monkeypatch.setattr(kernels, "_accumulate", refuse)
+        monkeypatch.setattr(kernels, "_log_columns", refuse)
         field = GF(16)
         rng = np.random.default_rng(1)
         a = field.random((ROWS, 4), rng)
         b = field.random((4, COLUMNS), rng)
         assert np.array_equal(kernels.matmul(field, a, b), kernels._matmul_reference(field, a, b))
 
-    @pytest.mark.parametrize("m, n", [(ROWS - 1, COLUMNS), (ROWS, COLUMNS - 1)])
+    @pytest.mark.parametrize(
+        "m, n",
+        [
+            (ROWS - 1, COLUMNS),
+            (ROWS, COLUMNS - 1),
+            (ROWS - 1, kernels._LOG_WIDE_COLUMNS - 1),  # the last narrow tile
+            (ROWS - 1, kernels._LOG_WIDE_COLUMNS),      # the first wide one
+            (ROWS - 1, kernels._LOG_WIDE_COLUMNS + 1),
+            (2, 2 * kernels._LOG_WIDE_COLUMNS + 1),     # a ragged last tile
+        ],
+    )
     def test_below_threshold_takes_the_log_path(self, monkeypatch, m, n):
+        """One inline shard over every column; the tile width alone picks
+        the regime, a wide tile's scratch being one intp log row."""
         calls = []
-        real = kernels._accumulate
+        real = kernels._log_columns
 
         def counting(*args):
-            calls.append(args[1].shape)
+            calls.append(args[4:8])
             real(*args)
 
-        monkeypatch.setattr(kernels, "_accumulate", counting)
-        field = GF(16)
-        rng = np.random.default_rng(2)
-        a = field.random((m, 4), rng)
-        b = field.random((4, n), rng)
-        assert np.array_equal(kernels.matmul(field, a, b), kernels._matmul_reference(field, a, b))
-        assert calls == [(m, n)]
+        monkeypatch.setattr(kernels, "_log_columns", counting)
+        col_block = min(kernels.DEFAULT_COL_BLOCK, kernels._LOG_WIDE_COLUMNS + 1)
+        for field in (GF(8), GF(16)):
+            calls.clear()
+            rng = np.random.default_rng(2)
+            a = field.random((m, 4), rng)
+            b = field.random((4, n), rng)
+            a[0] = 0
+            b[:, -1] = 0
+            got = kernels.matmul(field, a, b, col_block=col_block)
+            assert np.array_equal(got, kernels._matmul_reference(field, a, b))
+            ((lo, hi, tile, logs),) = calls
+            assert (lo, hi) == (0, n) and tile <= col_block
+            wide = tile >= kernels._LOG_WIDE_COLUMNS
+            assert logs.dtype == (np.intp if wide else np.int32)
+            assert len(logs) == (tile if wide else 4 * tile)
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_column_shards_partition_the_output(self, monkeypatch, workers):
         """Shards own disjoint column ranges that cover every column, in
-        tiles no wider than ``col_block``: an overlap would still write
-        the right bytes, so the ranges themselves are checked."""
+        tiles no wider than ``col_block``, on both paths and in both of
+        the log path's regimes: an overlap would still write the right
+        bytes, so the ranges themselves are checked."""
         runs = []
         real = kernels._run
         monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)
         monkeypatch.setattr(
-            kernels, "_run", lambda fn, arg_sets: (runs.append(arg_sets), real(fn, arg_sets))
+            kernels, "_run", lambda fn, arg_sets: (runs.append((fn, arg_sets)), real(fn, arg_sets))
         )
         field = GF(8)
         rng = np.random.default_rng(workers)
-        a = field.random((ROWS, 3), rng)
-        b = field.random((3, 1001), rng)
-        got = kernels.matmul(field, a, b, workers=workers, col_block=100)
-        assert np.array_equal(got, kernels._matmul_reference(field, a, b))
-        (arg_sets,) = runs
-        assert len(arg_sets) == workers
-        ranges = [(args[4], args[5]) for args in arg_sets]
-        assert ranges[0][0] == 0 and ranges[-1][1] == 1001
-        assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
-        assert all(args[6] <= 100 for args in arg_sets)
+        wide = kernels._LOG_WIDE_COLUMNS
+        for m, n, col_block, body in (
+            (ROWS, 1001, 100, kernels._xor_columns),
+            (ROWS - 1, 1001, 100, kernels._log_columns),
+            (ROWS - 1, 3 * wide + 5, wide + 2, kernels._log_columns),
+        ):
+            runs.clear()
+            a = field.random((m, 3), rng)
+            b = field.random((3, n), rng)
+            got = kernels.matmul(field, a, b, workers=workers, col_block=col_block)
+            assert np.array_equal(got, kernels._matmul_reference(field, a, b)), n
+            ((fn, arg_sets),) = runs
+            assert fn is body and len(arg_sets) == workers
+            ranges = [(args[4], args[5]) for args in arg_sets]
+            assert ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
+            assert all(args[6] <= col_block for args in arg_sets)
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -253,7 +294,8 @@ class TestTallProductMemory:
     """The XOR path's tables must not cost what its speed buys: on the
     paper's encode shape its traced peak stays within 4 MiB of the log
     path's on the same operands, and its shard bodies allocate no array
-    (numpy may take a fixed iterator buffer of some KiB per call)."""
+    (numpy may take a fixed iterator buffer of some KiB per call).  The
+    log path's wide tiles are held the same way."""
 
     @pytest.fixture(scope="class")
     def encode(self):
@@ -270,6 +312,37 @@ class TestTallProductMemory:
         log_peak = _traced_peak(kernels.matmul, field, a, b, workers=2)
         assert xor_out.tobytes() == log_out.tobytes()
         assert xor_peak <= log_peak + (4 << 20), (xor_peak, log_peak)
+
+    def test_erasure_encode_peak_below_the_row_shard_kernels(self):
+        """The log path's whole-product peak on the 64 x 32 x 16 384
+        erasure encode shape: its 2 MiB output, one intp log row and one
+        product row.  The row-shard kernel this replaced peaked at
+        4 664 304 bytes here (an int32 k x tile log tile, chunk scratch
+        and a widened index chunk); a k x tile intp log tile would add
+        4 MiB to the output and fail."""
+        field = GF(16)
+        rng = np.random.default_rng(32)
+        a, b = field.random((64, 32), rng), field.random((32, 16384), rng)
+        kernels.matmul(field, a, b)
+        assert _traced_peak(kernels.matmul, field, a, b) <= 4_664_304
+
+    def test_log_shard_bodies_allocate_no_array(self, monkeypatch):
+        """Wide log tiles: each shard takes its data logs into its one
+        intp row and every product into its one product row."""
+        field = GF(16)
+        rng = np.random.default_rng(31)
+        a, b = field.random((31, 31), rng), field.random((31, 40000), rng)
+        runs = []
+        monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)
+        monkeypatch.setattr(kernels, "_run", lambda fn, arg_sets: runs.append((fn, arg_sets)))
+        kernels.matmul(field, a, b, workers=2)
+        ((fn, arg_sets),) = runs
+        assert fn is kernels._log_columns and len(arg_sets) == 2
+        for args in arg_sets:
+            fn(*args)  # numpy's first-call caches are not the kernel's
+            logs = args[7]  # (tile,) intp: no buffer that size may be made
+            assert logs.dtype == np.intp and logs.nbytes > 64 << 10
+            assert _traced_peak(fn, *args) < 64 << 10
 
     def test_shard_bodies_allocate_no_array(self, encode, monkeypatch):
         field, a, b = encode
@@ -419,8 +492,8 @@ class _Untouchable:
 
 class TestSharded:
     def test_worker_count_invariance(self, fan_out):
-        """Disjoint row shards of the log path: byte-identical for any
-        worker count -- including more workers than rows -- so
+        """Column shards of the log path's wide tiles: byte-identical for
+        any worker count -- including more workers than rows -- so
         REPRO_GF_WORKERS can never change encodings."""
         for m in (8, 2):
             field, a, b = fan_out_operands(3, m)
@@ -516,7 +589,7 @@ class TestSharded:
         assert sorted(thread.name for thread in spawned) == ["gf-shard-1", "gf-shard-2"]
 
     def test_pool_lets_go_of_a_finished_product(self, fan_out):
-        """Shard arguments are views of the output and the log tile; an
+        """Shard arguments hold the output and the coefficient logs; an
         idle pool thread must not keep them alive until its next task."""
         field, a, b = fan_out_operands(10)
         out = weakref.ref(kernels.matmul(field, a, b, workers=2))
@@ -573,6 +646,12 @@ class TestSharded:
             kernels.default_workers()
         with pytest.raises(ValueError, match=kernels.WORKERS_ENV):
             kernels.matmul(field, a, a)
+        for bad in ("abc", "2.5"):
+            monkeypatch.setenv(kernels.WORKERS_ENV, bad)
+            with pytest.raises(ValueError, match=f"{kernels.WORKERS_ENV}.*{bad}"):
+                kernels.default_workers()
+            with pytest.raises(ValueError, match=kernels.WORKERS_ENV):
+                kernels.matmul(field, a, a)
         monkeypatch.setenv(kernels.WORKERS_ENV, "5")
         assert kernels.default_workers() == 5
 
