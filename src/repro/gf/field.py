@@ -136,10 +136,6 @@ class GaloisField:
         self._log0, self._exp0, self._log_sentinel = _build_fused_tables(
             self._log, self._exp2, q, self.dtype
         )
-        # The same logs as intp, the index type np.take reads without a
-        # widening copy: the kernel's wide log step takes its data logs
-        # into an intp row through this table.
-        self._log0_intp = self._log0.astype(np.intp)
 
     # ------------------------------------------------------------------
     # representation and validation

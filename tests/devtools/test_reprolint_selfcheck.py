@@ -1,8 +1,8 @@
 """The acceptance gate: reprolint over the real tree must be clean.
 
 This is the test-suite form of ``python -m repro.devtools.lint src
-tests`` exiting 0 -- any rule regression or new defect in the codebase
-fails here before CI even runs the standalone lint step.  The one run
+tests examples`` exiting 0 -- any rule regression or new defect in the
+codebase fails here before CI even runs the standalone lint step.  The one run
 covers every family, the RL5xx flow analysis included: every RL5xx hit
 on the tree has been triaged -- real defects were fixed (see
 tests/net/), false positives carry a documented ``# reprolint:
@@ -19,7 +19,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
 
 def test_reprolint_is_clean_on_the_real_tree():
-    report = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests"])
+    report = run_lint([REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "examples"])
     assert [f.render() for f in report.findings] == []
     assert [f.render() for f in report.errors] == []
     assert report.exit_code == 0
@@ -30,13 +30,13 @@ def test_reprolint_is_clean_on_the_real_tree():
 
 
 def test_flow_analysis_is_clean_on_the_real_tree():
-    """The RL5xx acceptance gate: ``--select RL5 src tests`` exits 0.
+    """The RL5xx acceptance gate: ``--select RL5 src tests examples`` exits 0.
 
     A new RL5xx finding here is a new defect, not noise to tolerate.
     The flow pass must also be deterministic: a second run over the
     unchanged tree reports the identical suppressed set.
     """
-    paths = [REPO_ROOT / "src", REPO_ROOT / "tests"]
+    paths = [REPO_ROOT / "src", REPO_ROOT / "tests", REPO_ROOT / "examples"]
     report = run_lint(paths, select=["RL5"])
     assert [f.render() for f in report.findings] == []
     assert [f.render() for f in report.errors] == []

@@ -16,12 +16,14 @@ Three promises are pinned here:
    byte-identical for every worker count, on concurrent callers and in a
    forked child, without spawning threads after its first use.
 
-Both paths of :func:`kernels.matmul` are held to all three: the
-table-driven XOR path from ``kernels._XOR_MIN_ROWS`` coefficient rows and
-``_XOR_MIN_COLUMNS`` data columns up, the log path below either
-(:class:`TestPathSelection` pins which runs where, and
-:class:`TestTallProductMemory` that the XOR path's memory stays within
-the log path's, and that neither path's shard bodies allocate an array).
+All three paths of :func:`kernels.matmul` are held to all three: the
+packed split-table step on data of ``kernels._PACKED_MIN_COLUMNS`` columns
+and ``_PACKED_MIN_ROWS`` to ``_PACKED_MAX_ROWS`` rows, the table-driven
+XOR path from ``_XOR_MIN_ROWS`` coefficient rows and ``_XOR_MIN_COLUMNS``
+data columns up, the log path below either (:class:`TestPathSelection`
+pins which runs where, and :class:`TestTallProductMemory` that the XOR
+path's memory stays within the log path's, and that the XOR and packed
+shard bodies allocate no array).
 """
 
 import os
@@ -94,20 +96,22 @@ class TestExactness:
         """Row and column counts one either side of (and at multiples of)
         the kernel's own step sizes, read from the module.  A tile of
         ``_CHUNK // r`` columns runs ``r`` output rows per narrow step
-        where it is narrower than ``_LOG_WIDE_COLUMNS`` (r = 9), and wide
-        steps where it is not.  Widths one either side of that constant,
-        and tiles of unequal width (a ragged last tile), meet both
-        regimes; a zero coefficient row and a zero data column are
-        planted in every product."""
+        where it is narrower than ``_PACKED_MIN_COLUMNS`` (r = 9); from
+        that width products of ``_PACKED_MIN_ROWS`` rows or more take the
+        packed step and fewer stay on the log path.  Widths one either
+        side of that constant, and tiles of unequal width (a ragged last
+        tile), meet every regime; a zero coefficient row and a zero data
+        column are planted in every product."""
         tile = kernels._CHUNK // rows_per_step
-        wide = kernels._LOG_WIDE_COLUMNS
+        wide = kernels._PACKED_MIN_COLUMNS
         assert tile <= kernels.DEFAULT_COL_BLOCK
         cases = [(n, tile) for n in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1)]
         cases += [(n, kernels.DEFAULT_COL_BLOCK) for n in (wide - 1, wide, wide + 1)]
         cases += [(2 * wide - 1, wide), (2 * wide + 1, wide + 1), (3 * wide - 2, wide)]
         rng = np.random.default_rng(field.q + rows_per_step)
         for n, col_block in cases:
-            # The last m takes the XOR path, whose own tile is narrower.
+            # The last m takes the XOR path on narrow data, whose own tile
+            # is narrower, and the packed step on wide data.
             for m in {max(rows_per_step - 1, 1), rows_per_step, rows_per_step + 1,
                       2 * rows_per_step, 2 * rows_per_step + 1, kernels._XOR_MIN_ROWS}:
                 a = field.random((m, 2), rng)
@@ -193,9 +197,91 @@ class TestTallProducts:
             assert out.shape == (ROWS, n) and not out.any()
 
 
+WIDE, FEW = kernels._PACKED_MIN_COLUMNS, kernels._PACKED_MIN_ROWS
+
+
+def group_rows(field):
+    """Output rows one packed table row holds: 16 at q = 16, 32 below 9."""
+    return kernels._PACKED_BYTES // field.dtype.itemsize
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+class TestPackedStep:
+    """The packed split-table step: exact on every edge its row groups,
+    byte planes, table batches, tiles and shards have."""
+
+    def test_rows_either_side_of_each_group(self, field, monkeypatch):
+        """``m`` one either side of every multiple of 16 and of the
+        field's group rows up to three groups, and below the row floor
+        (lowered so the step runs there); ``k`` spans two table batches,
+        the last one short; tiles are ragged and split over three shards.
+        Zero coefficient rows, a zero data row and zero data columns are
+        planted."""
+        calls = []
+        real = kernels._packed_columns
+
+        def counting(*args):
+            calls.append(args[4:7])
+            real(*args)
+
+        monkeypatch.setattr(kernels, "_packed_columns", counting)
+        monkeypatch.setattr(kernels, "_PACKED_MIN_ROWS", 1)
+        monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)
+        rows = group_rows(field)
+        ms = {1, 2, FEW - 1, FEW}
+        ms |= {r + d for g in (1, 2, 3) for r in (16 * g, rows * g) for d in (-1, 0, 1)}
+        k = kernels._PACKED_BATCH + 3
+        n = WIDE + 5
+        rng = np.random.default_rng(field.q)
+        b = field.random((k, n), rng)
+        b[1] = 0
+        b[:, 0] = 0
+        b[:, n // 2] = 0
+        for m in sorted(ms):
+            a = field.random((m, k), rng)
+            a[m // 2] = 0
+            a[-1] = 0
+            a[-1, 1] = 1  # only the zero data row left
+            expected = kernels._matmul_reference(field, a, b)
+            for workers, col_block in ((1, kernels.DEFAULT_COL_BLOCK), (3, 1000)):
+                calls.clear()
+                got = kernels.matmul(field, a, b, workers=workers, col_block=col_block)
+                assert got.tobytes() == expected.tobytes(), (m, workers)
+                assert len(calls) == workers and all(t <= col_block for _, _, t in calls)
+            assert not got[m // 2].any() and not got[-1].any() and not got[:, 0].any()
+
+    def test_matches_direct_reference(self, field):
+        """Against the first-principles oracle: one group, a ragged last
+        group and a ragged table batch, at the width and row floors."""
+        rng = np.random.default_rng(field.q + 1)
+        for m, k in ((FEW, 1), (group_rows(field) + 3, kernels._PACKED_BATCH + 1)):
+            a = field.random((m, k), rng)
+            b = field.random((k, WIDE), rng)
+            a[0, 0] = 1
+            assert np.array_equal(kernels.matmul(field, a, b), direct_matmul(field, a, b)), m
+
+    def test_every_byte_of_every_element(self, field, monkeypatch):
+        """Each data element's bytes index their own table planes: data
+        holding every field element, times coefficients that include
+        zero, one and the largest element, equals the elementwise
+        product."""
+        ran = []
+        real = kernels._packed_columns
+        monkeypatch.setattr(
+            kernels, "_packed_columns", lambda *args: (ran.append(True), real(*args))
+        )
+        order = field.order
+        b = np.resize(np.arange(order, dtype=field.dtype), (1, max(WIDE, order)))
+        coefficients = [0, 1, 2, order - 1, order // 2 + 1]
+        coefficients += [3 + i for i in range(FEW - len(coefficients))]
+        a = np.array(coefficients, dtype=field.dtype)[:, None]
+        got = kernels.matmul(field, a, b)
+        assert ran and np.array_equal(got, field.multiply_direct(a, b))
+
+
 class TestPathSelection:
     """The shape alone picks the path; ``workers`` and ``col_block`` keep
-    their meaning on both."""
+    their meaning on all three."""
 
     def test_threshold_takes_the_xor_path(self, monkeypatch):
         def refuse(*args):
@@ -209,19 +295,62 @@ class TestPathSelection:
         assert np.array_equal(kernels.matmul(field, a, b), kernels._matmul_reference(field, a, b))
 
     @pytest.mark.parametrize(
+        "m, k, n, path",
+        [
+            # The workloads' own products.  Paper and small file must keep
+            # the path they took before the packed step existed.
+            (640, 319, 1644, "xor"),     # paper encode
+            (319, 319, 1644, "xor"),     # paper decode
+            (288, 32, 351, "xor"),       # paper elimination block
+            (10, 40, 1644, "log"),       # paper newcomer
+            (10, 40, 319, "log"),
+            (64, 31, 265, "log"),        # small-file encode
+            (31, 31, 265, "log"),        # small-file decode
+            (4, 10, 265, "log"),         # small-file newcomer
+            (64, 32, 2048, "log"),       # the t(32,0) wall-clock claims
+            (64, 32, 16384, "packed"),   # erasure encode
+            (32, 32, 16384, "packed"),   # erasure decode
+            (1, 32, 16384, "log"),       # erasure newcomer
+            (64, 31, 270601, "packed"),  # bulk encode
+            (31, 31, 270601, "packed"),  # bulk decode
+            (4, 10, 270601, "log"),      # bulk newcomer
+            (16, 8, 8192, "packed"),     # figure 4's (8, 0) normalizer
+            (96, 42, 65536, "packed"),   # RC(8,8,10,3) on a multi-MiB file
+            (FEW - 1, 8, WIDE, "log"),
+            (FEW, 8, WIDE - 1, "log"),
+            (kernels._PACKED_MAX_ROWS - 1, 8, WIDE, "packed"),
+            (kernels._PACKED_MAX_ROWS, 8, WIDE, "xor"),
+        ],
+    )
+    def test_shape_picks_the_path(self, monkeypatch, m, k, n, path):
+        """Which of the three runs, from (m, k, n) alone: the same for any
+        worker count and column block."""
+        ran = []
+        for name in ("log", "xor", "packed"):
+            monkeypatch.setattr(
+                kernels, f"_{name}_product", lambda *args, name=name: ran.append(name)
+            )
+        field = GF(16)
+        a, b = field.zeros((m, k)), field.zeros((k, n))
+        for workers, col_block in ((1, kernels.DEFAULT_COL_BLOCK), (3, 100)):
+            kernels.matmul(field, a, b, workers=workers, col_block=col_block)
+        assert ran == [path, path]
+
+    @pytest.mark.parametrize(
         "m, n",
         [
             (ROWS - 1, COLUMNS),
             (ROWS, COLUMNS - 1),
-            (ROWS - 1, kernels._LOG_WIDE_COLUMNS - 1),  # the last narrow tile
-            (ROWS - 1, kernels._LOG_WIDE_COLUMNS),      # the first wide one
-            (ROWS - 1, kernels._LOG_WIDE_COLUMNS + 1),
-            (2, 2 * kernels._LOG_WIDE_COLUMNS + 1),     # a ragged last tile
+            (ROWS - 1, WIDE - 1),   # the last narrow width
+            (FEW - 1, WIDE),        # too few rows for the packed step
+            (FEW - 1, WIDE + 1),
+            (2, 2 * WIDE + 1),      # a ragged last tile
         ],
     )
     def test_below_threshold_takes_the_log_path(self, monkeypatch, m, n):
-        """One inline shard over every column; the tile width alone picks
-        the regime, a wide tile's scratch being one intp log row."""
+        """One inline shard over every column; its int32 log scratch holds
+        ``k`` rows of ``tile`` where several row chunks reuse them, and
+        one row where one chunk covers every output row."""
         calls = []
         real = kernels._log_columns
 
@@ -230,7 +359,7 @@ class TestPathSelection:
             real(*args)
 
         monkeypatch.setattr(kernels, "_log_columns", counting)
-        col_block = min(kernels.DEFAULT_COL_BLOCK, kernels._LOG_WIDE_COLUMNS + 1)
+        col_block = min(kernels.DEFAULT_COL_BLOCK, WIDE + 1)
         for field in (GF(8), GF(16)):
             calls.clear()
             rng = np.random.default_rng(2)
@@ -242,16 +371,16 @@ class TestPathSelection:
             assert np.array_equal(got, kernels._matmul_reference(field, a, b))
             ((lo, hi, tile, logs),) = calls
             assert (lo, hi) == (0, n) and tile <= col_block
-            wide = tile >= kernels._LOG_WIDE_COLUMNS
-            assert logs.dtype == (np.intp if wide else np.int32)
-            assert len(logs) == (tile if wide else 4 * tile)
+            kept = 4 if m > max(1, kernels._CHUNK // tile) else 1
+            assert logs.dtype == np.int32 and len(logs) == kept * tile
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 7])
     def test_column_shards_partition_the_output(self, monkeypatch, workers):
         """Shards own disjoint column ranges that cover every column, in
-        tiles no wider than ``col_block``, on both paths and in both of
-        the log path's regimes: an overlap would still write the right
-        bytes, so the ranges themselves are checked."""
+        tiles no wider than ``col_block``, on all three paths (the packed
+        step's also no wider than ``_PACKED_TILE``): an overlap would
+        still write the right bytes, so the ranges themselves are
+        checked."""
         runs = []
         real = kernels._run
         monkeypatch.setattr(kernels, "_MIN_SHARD_OPS", 1)
@@ -260,11 +389,12 @@ class TestPathSelection:
         )
         field = GF(8)
         rng = np.random.default_rng(workers)
-        wide = kernels._LOG_WIDE_COLUMNS
         for m, n, col_block, body in (
             (ROWS, 1001, 100, kernels._xor_columns),
             (ROWS - 1, 1001, 100, kernels._log_columns),
-            (ROWS - 1, 3 * wide + 5, wide + 2, kernels._log_columns),
+            (FEW - 1, 3 * WIDE + 5, WIDE + 2, kernels._log_columns),
+            (FEW, 3 * WIDE + 5, WIDE + 2, kernels._packed_columns),
+            (ROWS - 1, 5 * kernels._PACKED_TILE + 3, 1 << 20, kernels._packed_columns),
         ):
             runs.clear()
             a = field.random((m, 3), rng)
@@ -277,6 +407,8 @@ class TestPathSelection:
             assert ranges[0][0] == 0 and ranges[-1][1] == n
             assert all(hi == lo for (_, hi), (lo, _) in zip(ranges, ranges[1:]))
             assert all(args[6] <= col_block for args in arg_sets)
+            if body is kernels._packed_columns:
+                assert all(args[6] <= kernels._PACKED_TILE for args in arg_sets)
 
 
 def _traced_peak(fn, *args, **kwargs) -> int:
@@ -295,7 +427,7 @@ class TestTallProductMemory:
     paper's encode shape its traced peak stays within 4 MiB of the log
     path's on the same operands, and its shard bodies allocate no array
     (numpy may take a fixed iterator buffer of some KiB per call).  The
-    log path's wide tiles are held the same way."""
+    packed step is held the same way."""
 
     @pytest.fixture(scope="class")
     def encode(self):
@@ -314,21 +446,23 @@ class TestTallProductMemory:
         assert xor_peak <= log_peak + (4 << 20), (xor_peak, log_peak)
 
     def test_erasure_encode_peak_below_the_row_shard_kernels(self):
-        """The log path's whole-product peak on the 64 x 32 x 16 384
-        erasure encode shape: its 2 MiB output, one intp log row and one
-        product row.  The row-shard kernel this replaced peaked at
-        4 664 304 bytes here (an int32 k x tile log tile, chunk scratch
-        and a widened index chunk); a k x tile intp log tile would add
-        4 MiB to the output and fail."""
+        """The packed step's whole-product peak on the 64 x 32 x 16 384
+        erasure encode shape: its 2 MiB output, the shared basis, and one
+        shard's table batch, byte index rows, gather and accumulator.
+        The bound is the peak of an earlier row-shard log kernel here,
+        4 664 304 bytes (an int32 k x tile log tile, chunk scratch and a
+        widened index chunk); tables for every coefficient at once
+        (m k KiB) would add 2 MiB to the output and fail."""
         field = GF(16)
         rng = np.random.default_rng(32)
         a, b = field.random((64, 32), rng), field.random((32, 16384), rng)
         kernels.matmul(field, a, b)
         assert _traced_peak(kernels.matmul, field, a, b) <= 4_664_304
 
-    def test_log_shard_bodies_allocate_no_array(self, monkeypatch):
-        """Wide log tiles: each shard takes its data logs into its one
-        intp row and every product into its one product row."""
+    def test_packed_shard_bodies_allocate_no_array(self, monkeypatch):
+        """Each packed shard doubles its tables into its own batch, takes
+        the data's bytes into its own index rows and every table row into
+        its own gather and accumulator."""
         field = GF(16)
         rng = np.random.default_rng(31)
         a, b = field.random((31, 31), rng), field.random((31, 40000), rng)
@@ -337,11 +471,11 @@ class TestTallProductMemory:
         monkeypatch.setattr(kernels, "_run", lambda fn, arg_sets: runs.append((fn, arg_sets)))
         kernels.matmul(field, a, b, workers=2)
         ((fn, arg_sets),) = runs
-        assert fn is kernels._log_columns and len(arg_sets) == 2
+        assert fn is kernels._packed_columns and len(arg_sets) == 2
         for args in arg_sets:
             fn(*args)  # numpy's first-call caches are not the kernel's
-            logs = args[7]  # (tile,) intp: no buffer that size may be made
-            assert logs.dtype == np.intp and logs.nbytes > 64 << 10
+            acc = args[-1]  # (groups, tile, words): no buffer that size may be made
+            assert acc.nbytes > 64 << 10
             assert _traced_peak(fn, *args) < 64 << 10
 
     def test_shard_bodies_allocate_no_array(self, encode, monkeypatch):
@@ -492,9 +626,10 @@ class _Untouchable:
 
 class TestSharded:
     def test_worker_count_invariance(self, fan_out):
-        """Column shards of the log path's wide tiles: byte-identical for
-        any worker count -- including more workers than rows -- so
-        REPRO_GF_WORKERS can never change encodings."""
+        """Column shards of the packed step (8 rows) and of the log path
+        (2 rows): byte-identical for any worker count -- including more
+        workers than rows -- so REPRO_GF_WORKERS can never change
+        encodings."""
         for m in (8, 2):
             field, a, b = fan_out_operands(3, m)
             expected = kernels._matmul_reference(field, a, b)

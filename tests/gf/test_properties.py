@@ -287,8 +287,9 @@ class TestBlockedKernelProperties:
     ``_CHUNK // tile`` and its multiples, one row per step (the add-free
     offset view) and many, ``k = 1``, empty dimensions -- with all-zero
     and all-one coefficient rows and zero data columns planted.  The
-    wide-tile threshold is drawn too, so tiles run either of the log
-    path's regimes.  The fan-out threshold is shrunk to one element
+    packed step's width and row floors and its table batch are drawn
+    too, so operands run the packed step as well as the log path, with
+    batches that do not divide ``k``.  The fan-out threshold is shrunk to one element
     operation, so the same operands also split into 1-3 column shards on
     the persistent pool, including more workers than rows.
     """
@@ -300,11 +301,13 @@ class TestBlockedKernelProperties:
         chunk=st.integers(min_value=1, max_value=64),
         col_block=st.integers(min_value=1, max_value=50),
         wide=st.integers(min_value=1, max_value=60),
+        few=st.integers(min_value=1, max_value=10),
+        batch=st.integers(min_value=1, max_value=4),
         workers=st.integers(min_value=1, max_value=3),
         data=st.data(),
     )
     def test_blocked_matches_naive(
-        self, field, m, k, n, chunk, col_block, wide, workers, data
+        self, field, m, k, n, chunk, col_block, wide, few, batch, workers, data
     ):
         a = data.draw(matrices(field, m, k))
         b = data.draw(matrices(field, k, n))
@@ -316,7 +319,9 @@ class TestBlockedKernelProperties:
         expected = naive_matmul(field, a, b)
         with mock.patch.object(kernels, "_CHUNK", chunk), mock.patch.object(
             kernels, "_MIN_SHARD_OPS", 1
-        ), mock.patch.object(kernels, "_LOG_WIDE_COLUMNS", wide):
+        ), mock.patch.object(kernels, "_PACKED_MIN_COLUMNS", wide), mock.patch.object(
+            kernels, "_PACKED_MIN_ROWS", few
+        ), mock.patch.object(kernels, "_PACKED_BATCH", batch):
             got = kernels.matmul(field, a, b, workers=1, col_block=col_block)
             sharded = kernels.matmul(field, a, b, workers=workers, col_block=col_block)
             delegated = kernels.matmul_sharded(
