@@ -46,11 +46,11 @@ async def run(root: str) -> None:
               f"{repair.coefficient_bytes} bytes coefficients")
         print(f"  newcomer          : {newcomer}")
 
-        # --- reconstruction: coefficient-first, exactly n_file rows ----
+        # --- reconstruction: k-1 pieces whole, the split one by rows ---
         restored, stats = await coordinator.reconstruct(manifest)
         print(f"\nreconstruct (peer {lost_address} still down):")
         print(f"  pieces probed     : {stats.pieces_probed} "
-              f"(coefficients only: {stats.coefficient_bytes} bytes)")
+              f"(coefficient overhead: {stats.coefficient_bytes} bytes)")
         print(f"  fragments fetched : {stats.fragments_downloaded} "
               f"== n_file = {params.n_file}")
         print(f"  payload downloaded: {stats.payload_bytes} bytes")

@@ -362,14 +362,14 @@ class PeerClient:
         return response.blob
 
     async def get_coefficients(self, key: str) -> bytes:
-        """Download only the coefficient rows (reconstruction phase 1)."""
+        """Download only the coefficient rows (a zero-data-width piece)."""
         response = await self._expect(
             GetPiece(key=key, coeffs_only=True), PieceData
         )
         return response.blob
 
     async def get_rows(self, key: str, rows, field: GaloisField) -> np.ndarray:
-        """Download the selected data fragments (reconstruction phase 2)."""
+        """Download the selected data fragments of a piece."""
         response = await self._expect(
             GetRows(key=key, rows=tuple(int(row) for row in rows)), Rows
         )

@@ -13,12 +13,13 @@ fragment -- then synthesizes the newcomer's piece locally and stores it
 on the newcomer peer.  Dead helpers are substituted from the remaining
 survivors while at least ``d`` remain; otherwise :class:`NetRepairError`.
 
-**Reconstruction** is coefficient-first (paper section 3.2 / 4.3): phase
-1 downloads only coefficient matrices, selects ``n_file`` linearly
-independent rows and inverts that square submatrix; phase 2 fetches
-exactly those ``n_file`` data fragments with GET_ROWS.  The bytes moved
-equal the (padded) file size plus the small coefficient overhead --
-"without paying any extra-cost", now measured on a real wire.
+**Reconstruction** moves the bytes of the coefficient-first download
+(paper section 3.2 / 4.3): ``n_file`` data fragments plus the small
+coefficient overhead -- "without paying any extra-cost", now measured on
+a real wire.  Scan-order selection keeps the first ``n_file`` rows
+whenever they are independent, so one probe round downloads the first
+``n_file // n_piece`` pieces whole and the rest of the k as coefficients
+only; after the plan, one GET_ROWS fetches the split piece's rows.
 
 The record of every operation comes back in a stats dataclass so tests
 and benchmarks can assert the paper's traffic accounting.
@@ -234,13 +235,13 @@ class RepairStats:
 
 @dataclasses.dataclass(frozen=True)
 class ReconstructStats:
-    """Outcome of a networked reconstruction (coefficient-first)."""
+    """Outcome of a networked reconstruction (coefficient-first bytes)."""
 
-    fragments_downloaded: int         # data rows fetched in phase 2 == n_file
-    payload_bytes: int                # phase-2 element bytes
-    coefficient_bytes: int            # phase-1 download (the cheap part)
-    pieces_probed: int                # coefficient sets fetched
-    pieces_used: int                  # pieces phase 2 actually read from
+    fragments_downloaded: int         # data rows downloaded (n_file unless a draw was dependent)
+    payload_bytes: int                # their element bytes
+    coefficient_bytes: int            # header + coefficients of every probed piece
+    pieces_probed: int                # GET_PIECE requests, whole or coefficients only
+    pieces_used: int                  # pieces the decode takes rows from
 
 
 class Coordinator:
@@ -594,141 +595,170 @@ class Coordinator:
     async def reconstruct(
         self, manifest: NetManifest
     ) -> tuple[bytes, ReconstructStats]:
-        """Download and decode the file, fetching exactly n_file fragments.
+        """Download and decode the file: one probe round, then one GET_ROWS.
 
-        Phase 1 pulls coefficient matrices (piece blobs with zero-width
-        data) from k pieces -- more if some are dead, fail verification,
-        or leave the stacked matrix rank-deficient.  Phase 2 pulls only
-        the planned ``n_file`` data rows.  A piece that dies (or starts
-        returning garbage) between the phases is dropped and the plan
-        recomputed from the survivors -- the mirror image of repair's
-        dead-helper substitution.
+        Scan-order extraction keeps the first ``n_file`` coefficient rows
+        whenever they are independent, which all but ~1/(2^q - 1) of draws
+        are.  So the plan uses the first ``n_file // n_piece`` pieces whole
+        and splits one more.  The probe round downloads those pieces whole
+        (GET_PIECE) and the rest of the k as coefficients only; the plan is
+        made from all their coefficient rows, and GET_ROWS fetches only the
+        selected rows not already held -- normally the split piece's
+        ``n_file mod n_piece``.  The bytes moved equal the paper's
+        coefficient-first download.
+
+        A probe that meets a dead, corrupt or garbled holder is replaced by
+        the next candidate with the same request; a rank-deficient stack
+        tops up with coefficient-only probes; a piece whose holder dies
+        before its GET_ROWS is dropped and the plan recomputed -- the
+        mirror image of repair's dead-helper substitution.
         """
         with self._operation("reconstruct") as span:
-            candidates = list(sorted(manifest.pieces.items()))
-            probed = 0
+            plan, stacked, stats = await self._download_selection(manifest, span)
+            # The final decode is the other big GF product; keep the event
+            # loop free while the blocked kernel runs.
+            with span.child("decode"):
+                original = await asyncio.to_thread(
+                    linalg.gf_matmul, self.field, plan.inverse, stacked
+                )
+            del stacked
+            # One copy from the decoded matrix to the caller's bytes.
+            data = bytes(
+                self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
+            )
+            return data, stats
 
-            async def fetch_coefficients(index: int, location: PeerAddress):
-                blob = await self.client(location).get_coefficients(manifest.key(index))
-                piece, field = piece_from_bytes(blob)
-                if field != self.field:
-                    raise NetReconstructError(
-                        f"piece {index} encoded over {field}, expected {self.field}"
-                    )
-                return index, location, piece, len(blob)
+    async def _download_selection(self, manifest: NetManifest, span: Span):
+        """The plan, its ``n_file`` selected data rows stacked, and the stats.
 
-            # Phase 1: coefficient matrices from k pieces, topping up past
-            # failures and rank deficiencies while candidates remain.
-            collected: list[tuple[int, PeerAddress, Piece]] = []
-            coefficient_bytes = 0
-            want = self.params.k
-            while True:
-                # The whole coefficient phase -- top-up downloads plus the
-                # rank-selection/inversion -- is one "plan" span per attempt.
-                with span.child("plan"):
-                    while len(collected) < want and candidates:
-                        batch, candidates = (
-                            candidates[: want - len(collected)],
-                            candidates[want - len(collected) :],
-                        )
-                        probed += len(batch)
-                        outcomes = await asyncio.gather(
-                            *(fetch_coefficients(index, loc) for index, loc in batch),
-                            return_exceptions=True,
-                        )
-                        for outcome in outcomes:
-                            if isinstance(outcome, PEER_FAILURES):
-                                continue  # dead, corrupt, or garbled peer: skip it
-                            if isinstance(outcome, BaseException):
-                                raise outcome
-                            index, location, piece, nbytes = outcome
-                            collected.append((index, location, piece))
-                            coefficient_bytes += nbytes
-                    if len(collected) < self.params.k:
-                        raise NetReconstructError(
-                            f"only {len(collected)} pieces reachable, need at least "
-                            f"k={self.params.k}"
-                        )
-                    try:
-                        # Rank selection + inversion over the coefficient
-                        # matrix is the other CPU spike of a reconstruction;
-                        # off the loop so concurrent ops keep flowing.
-                        plan = await asyncio.to_thread(
-                            self.code.plan_reconstruction,
-                            [piece for _, _, piece in collected],
-                        )
-                    except DecodingError as exc:
-                        if not candidates:
-                            raise NetReconstructError(
-                                f"reachable pieces do not span the file: {exc}"
-                            ) from exc
-                        want = len(collected) + 1  # fetch one more piece and retry
-                        continue
+        Every frame it downloads is dropped on return, so the caller's
+        decode allocates its output beside the stack alone.
+        """
+        candidates = list(sorted(manifest.pieces.items()))
+        n_whole = self.params.n_file // self.params.n_piece
+        # Probed pieces as (index, location, piece); the plan stacks the
+        # whole ones first, so scan order selects their rows.
+        whole: list[tuple[int, PeerAddress, Piece]] = []
+        partial: list[tuple[int, PeerAddress, Piece]] = []
+        probed = rows_downloaded = payload = coefficient_bytes = 0
 
-                # Phase 2: group the selected rows per piece and fetch only
-                # those fragments.
-                by_position: dict[int, list[int]] = {}
-                for position, row in plan.selection:
-                    by_position.setdefault(position, []).append(row)
+        async def probe(index: int, location: PeerAddress, is_whole: bool):
+            client, key = self.client(location), manifest.key(index)
+            if is_whole:
+                blob = await client.get_piece(key)
+            else:
+                blob = await client.get_coefficients(key)
+            piece, field = piece_from_bytes(blob)
+            if field != self.field:
+                raise NetReconstructError(
+                    f"piece {index} encoded over {field}, expected {self.field}"
+                )
+            return is_whole, (index, location, piece), len(blob)
 
-                async def fetch_rows(position: int):
-                    index, location, _ = collected[position]
-                    matrix = await self.client(location).get_rows(
-                        manifest.key(index), by_position[position], self.field
-                    )
-                    return position, matrix
-
-                with span.child("fetch"):
+        want = self.params.k
+        while True:
+            # The probe downloads plus the rank selection/inversion are one
+            # "plan" span per attempt.
+            with span.child("plan"):
+                while len(whole) + len(partial) < want and candidates:
+                    missing = want - len(whole) - len(partial)
+                    batch, candidates = candidates[:missing], candidates[missing:]
+                    # A failed whole probe leaves a whole slot open, so its
+                    # substitute is fetched whole too.
+                    whole_slots = n_whole - len(whole)
+                    probed += len(batch)
                     outcomes = await asyncio.gather(
-                        *(fetch_rows(position) for position in by_position),
+                        *(
+                            probe(index, location, slot < whole_slots)
+                            for slot, (index, location) in enumerate(batch)
+                        ),
                         return_exceptions=True,
                     )
-                lost_positions = []
-                matrices: dict[int, np.ndarray] = {}
-                for outcome in outcomes:
-                    if isinstance(outcome, PEER_FAILURES):
-                        continue
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                    position, matrix = outcome
-                    matrices[position] = matrix
-                lost_positions = [
-                    position for position in by_position if position not in matrices
-                ]
-                if lost_positions:
-                    # A piece died between the phases: drop it, re-plan.
-                    for position in sorted(lost_positions, reverse=True):
-                        del collected[position]
-                    want = max(self.params.k, len(collected))
+                    for outcome in outcomes:
+                        if isinstance(outcome, PEER_FAILURES):
+                            continue  # dead, corrupt, or garbled peer: skip it
+                        if isinstance(outcome, BaseException):
+                            raise outcome
+                        is_whole, (index, location, piece), nbytes = outcome
+                        (whole if is_whole else partial).append((index, location, piece))
+                        # A whole blob is header + coefficients + data rows;
+                        # the rows are payload, the rest coefficient overhead.
+                        coefficient_bytes += nbytes - piece.data.nbytes
+                        payload += piece.data.nbytes
+                        if is_whole:
+                            rows_downloaded += piece.n_piece
+                collected = whole + partial
+                if len(collected) < self.params.k:
+                    raise NetReconstructError(
+                        f"only {len(collected)} pieces reachable, need at least "
+                        f"k={self.params.k}"
+                    )
+                try:
+                    # Rank selection + inversion over the coefficient
+                    # matrix is the other CPU spike of a reconstruction;
+                    # off the loop so concurrent ops keep flowing.
+                    plan = await asyncio.to_thread(
+                        self.code.plan_reconstruction,
+                        [piece for _, _, piece in collected],
+                    )
+                except DecodingError as exc:
+                    if not candidates:
+                        raise NetReconstructError(
+                            f"reachable pieces do not span the file: {exc}"
+                        ) from exc
+                    want = len(collected) + 1  # probe one more piece and retry
                     continue
 
-                # Reassemble the planned rows in selection order and decode.
-                row_cursor = {position: 0 for position in by_position}
-                rows = []
-                for position, _ in plan.selection:
-                    rows.append(matrices[position][row_cursor[position]])
-                    row_cursor[position] += 1
-                stacked = np.stack(rows)
-                # The fetched frames are views the stack has copied out of;
-                # drop them before the decode allocates its output.
-                del rows, matrices, outcomes
-                payload = stacked.size * self.field.element_size
-                # The final decode is the other big GF product; keep the event
-                # loop free while the blocked kernel runs.
-                with span.child("decode"):
-                    original = await asyncio.to_thread(
-                        linalg.gf_matmul, self.field, plan.inverse, stacked
-                    )
-                del stacked
-                # One copy from the decoded matrix to the caller's bytes.
-                data = bytes(
-                    self.field.elements_to_buffer(original.reshape(-1))[: manifest.file_size]
+            # Fetch the selected rows the whole pieces do not hold.
+            wanted: dict[int, list[int]] = {}
+            for position, row in plan.selection:
+                if position >= len(whole):
+                    wanted.setdefault(position, []).append(row)
+
+            async def fetch_rows(position: int):
+                index, location, _ = collected[position]
+                matrix = await self.client(location).get_rows(
+                    manifest.key(index), wanted[position], self.field
                 )
-                stats = ReconstructStats(
-                    fragments_downloaded=len(plan.selection),
-                    payload_bytes=payload,
-                    coefficient_bytes=coefficient_bytes,
-                    pieces_probed=probed,
-                    pieces_used=len(by_position),
+                return position, matrix
+
+            with span.child("fetch"):
+                outcomes = await asyncio.gather(
+                    *(fetch_rows(position) for position in wanted),
+                    return_exceptions=True,
                 )
-                return data, stats
+            matrices: dict[int, np.ndarray] = {}
+            for outcome in outcomes:
+                if isinstance(outcome, PEER_FAILURES):
+                    continue
+                if isinstance(outcome, BaseException):
+                    raise outcome
+                position, matrix = outcome
+                matrices[position] = matrix
+                payload += matrix.nbytes
+                rows_downloaded += matrix.shape[0]
+            lost = [position for position in wanted if position not in matrices]
+            if lost:
+                # A piece died after its probe: drop it, re-plan.
+                for position in sorted(lost, reverse=True):
+                    del partial[position - len(whole)]
+                want = max(self.params.k, len(whole) + len(partial))
+                continue
+
+            # Stack the planned rows in selection order.
+            cursor = dict.fromkeys(wanted, 0)
+            rows = []
+            for position, row in plan.selection:
+                if position < len(whole):
+                    rows.append(whole[position][2].data[row])
+                else:
+                    rows.append(matrices[position][cursor[position]])
+                    cursor[position] += 1
+            stats = ReconstructStats(
+                fragments_downloaded=rows_downloaded,
+                payload_bytes=payload,
+                coefficient_bytes=coefficient_bytes,
+                pieces_probed=probed,
+                pieces_used=len({position for position, _ in plan.selection}),
+            )
+            return plan, np.stack(rows), stats

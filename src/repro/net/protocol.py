@@ -17,12 +17,13 @@ Requests (client -> daemon):
     STORE_PIECE  key + piece blob             insertion / repair writes
     GET_PIECE    key                          full piece download;
                  flags bit 0 (COEFFS_ONLY):   coefficient rows only,
-                                              the cheap first phase of
-                                              the paper's reconstruction
+                                              for the pieces a
+                                              reconstruction does not
+                                              use whole
     GET_ROWS     key + row indices            fetch selected data
-                                              fragments (phase 2: only
-                                              the n_file rows the
-                                              inverted submatrix needs)
+                                              fragments (the split
+                                              piece's rows the inverted
+                                              submatrix needs)
     REPAIR_READ  key                          the paper's *participant*
                                               phase, run server-side:
                                               the helper combines its
@@ -134,7 +135,6 @@ class ErrorCode(enum.IntEnum):
     CORRUPT = 2        # stored piece fails its integrity check
     BAD_REQUEST = 3    # request body malformed or out of range
     INTERNAL = 4       # unexpected server-side failure
-    OVERLOADED = 5     # daemon shedding load (reserved)
 
 
 def _pack_key(key: str) -> bytes:

@@ -515,8 +515,8 @@ class PeerDaemon:
         if not request.coeffs_only:
             return PieceData(blob=blob)
         piece, field = piece_from_bytes(blob)
-        # Re-serialize with zero-width data rows: the paper's phase-1
-        # download is the (n_piece, n_file) coefficient matrix alone.
+        # Re-serialize with zero-width data rows: a coefficient-only
+        # probe is the (n_piece, n_file) coefficient matrix alone.
         coeffs_only = Piece(
             index=piece.index,
             data=piece.data[:, :0],
@@ -534,8 +534,8 @@ class PeerDaemon:
                 )
         rows = request.rows
         if rows and rows == tuple(range(rows[0], rows[0] + len(rows))):
-            # A contiguous ascending run (every row, for reconstructions
-            # that read whole pieces): a view of the stored blob.
+            # A contiguous ascending run (a reconstruction's split piece
+            # gives its first rows): a view of the stored blob.
             matrix = piece.data[rows[0] : rows[0] + len(rows)]
         else:
             matrix = piece.data[list(rows), :]

@@ -7,11 +7,13 @@ through the repro.net wire protocol instead of in-process calls.
 """
 
 import asyncio
+import collections
 
 import numpy as np
 import pytest
 
 from repro.core.params import RCParams
+from repro.core.serialization import HEADER_SIZE
 from repro.net import (
     Coordinator,
     FaultPlan,
@@ -20,6 +22,7 @@ from repro.net import (
     NetRepairError,
     RetryPolicy,
 )
+from repro.net.blockstore import BlockStore
 
 pytestmark = pytest.mark.net
 
@@ -212,40 +215,150 @@ class TestRepairUnderFailure:
         assert stats.fragments_downloaded == PARAMS.n_file
 
     def test_piece_holder_dying_between_phases_triggers_replan(self, tmp_path):
-        """The mid-flight re-plan path, deterministically: phase 1 reads
-        piece 2's coefficients fine, then its daemon crashes on the
-        phase-2 GET_ROWS.  Reconstruction must drop that piece, probe a
-        substitute (counted in ``pieces_probed``), and still restore the
-        file byte-identical."""
+        """The mid-flight re-plan path, deterministically: the probe round
+        reads the split piece's coefficients fine (piece 7: the plan uses
+        pieces 0..6 whole and 3 of piece 7's 4 rows), then its daemon
+        crashes on the one GET_ROWS.  Reconstruction must drop that piece,
+        probe a substitute (counted in ``pieces_probed``), and still
+        restore the file byte-identical."""
         data = payload(10_000, seed=29)
         # A seeded server-side crash, aimed at exactly one request: the
-        # first GET_ROWS for piece 2.  Phase 1 (GET_PIECE) is untouched,
-        # so the piece enters the plan before its holder dies.
+        # first GET_ROWS for piece 7.  Its GET_PIECE is untouched, so the
+        # piece enters the plan before its holder dies.
         plan = FaultPlan(
             seed=71,
             rules=[
                 FaultRule(
                     kind="crash", side="server", operation="get_rows",
-                    key="f/2", times=1,
+                    key="f/7", times=1,
                 )
             ],
         )
-
-        async def scenario():
-            async with (
-                LocalCluster(8, tmp_path, seed=59, fault_plan=plan) as cluster,
-                make_coordinator(seed=61) as coordinator,
-            ):
-                stats = await coordinator.insert(
-                    data, cluster.addresses, file_id="f"
-                )
-                restored, rstats = await coordinator.reconstruct(stats.manifest)
-                return restored, rstats
-
-        restored, rstats = asyncio.run(scenario())
+        restored, rstats = asyncio.run(
+            reconstruct_under(plan, data, tmp_path, cluster_seed=59, seed=61)
+        )
         assert restored == data
         # One extra coefficient probe beyond the k the happy path needs.
         assert rstats.pieces_probed == PARAMS.k + 1
         assert rstats.fragments_downloaded == PARAMS.n_file
         # The crash actually fired (it is what forced the re-plan).
         assert [event.kind.value for event in plan.injected] == ["crash"]
+
+    def test_whole_piece_holder_crash_is_substituted(self, tmp_path):
+        """The mirror case: piece 2's daemon crashes on the probe round's
+        whole-piece GET_PIECE.  The next candidate is downloaded whole in
+        its place, and no data row is fetched twice."""
+        data = payload(10_000, seed=31)
+        plan = FaultPlan(
+            seed=73,
+            rules=[
+                FaultRule(
+                    kind="crash", side="server", operation="get_piece",
+                    key="f/2", times=1,
+                )
+            ],
+        )
+        restored, rstats = asyncio.run(
+            reconstruct_under(plan, data, tmp_path, cluster_seed=63, seed=65)
+        )
+        assert restored == data
+        assert rstats.pieces_probed == PARAMS.k + 1
+        assert rstats.fragments_downloaded == PARAMS.n_file
+        assert [event.kind.value for event in plan.injected] == ["crash"]
+
+    def test_rank_deficient_probe_tops_up(self, tmp_path):
+        """Piece 3 overwritten with a byte copy of piece 1: the first k
+        pieces span one piece too little, so the plan raises and the
+        coordinator probes one more piece's coefficients.  Piece 3 was
+        downloaded whole and none of its rows is used; the counts say so."""
+        data = payload(10_000, seed=37)
+
+        async def scenario():
+            async with (
+                LocalCluster(8, tmp_path, seed=67) as cluster,
+                make_coordinator(seed=69) as coordinator,
+            ):
+                manifest = (
+                    await coordinator.insert(data, cluster.addresses, file_id="f")
+                ).manifest
+                copy = await coordinator.client(manifest.pieces[1]).get_piece("f/1")
+                await coordinator.client(manifest.pieces[3]).store_piece("f/3", copy)
+                return await coordinator.reconstruct(manifest)
+
+        restored, rstats = asyncio.run(scenario())
+        assert restored == data
+        assert rstats.pieces_probed == PARAMS.k + 1
+        # Pieces 0..6 whole, then all of piece 7 and 3 rows of piece 8.
+        unused = PARAMS.n_piece
+        assert rstats.fragments_downloaded == PARAMS.n_file + unused
+        row_bytes = PARAMS.aligned_file_size(len(data)) // PARAMS.n_file
+        assert rstats.payload_bytes == (PARAMS.n_file + unused) * row_bytes
+        assert rstats.pieces_used == PARAMS.k
+
+
+async def reconstruct_under(plan, data, root, cluster_seed, seed):
+    """Insert ``data`` on 8 daemons sharing ``plan``, then reconstruct it."""
+    async with (
+        LocalCluster(8, root, seed=cluster_seed, fault_plan=plan) as cluster,
+        make_coordinator(seed=seed) as coordinator,
+    ):
+        stats = await coordinator.insert(data, cluster.addresses, file_id="f")
+        return await coordinator.reconstruct(stats.manifest)
+
+
+class TestReconstructRounds:
+    """One probe round plus at most one GET_ROWS, counted on the daemons."""
+
+    @pytest.mark.parametrize(
+        "params, get_rows",
+        [(PARAMS, 1), (RCParams(4, 4, 4, 0), 0)],
+        ids=["rc8-8-10-1", "rc4-4-4-0"],
+    )
+    def test_requests_and_blob_reads_per_reconstruct(
+        self, tmp_path, monkeypatch, params, get_rows
+    ):
+        monkeypatch.setenv("REPRO_OBS", "on")
+        reads = []
+        original_get = BlockStore.get
+
+        def counting_get(store, key):
+            reads.append(key)
+            return original_get(store, key)
+
+        monkeypatch.setattr(BlockStore, "get", counting_get)
+        data = payload(20_000, seed=41)
+
+        def requests(cluster):
+            totals = collections.Counter()
+            for daemon in cluster.daemons:
+                for entry in daemon.obs.snapshot()["counters"]:
+                    if entry["name"] == "daemon.requests_total":
+                        totals[entry["labels"]["op"]] += entry["value"]
+            return totals
+
+        async def scenario():
+            async with (
+                LocalCluster(8, tmp_path, seed=71) as cluster,
+                Coordinator(params, rng=np.random.default_rng(73)) as coordinator,
+            ):
+                manifest = (
+                    await coordinator.insert(data, cluster.addresses, file_id="f")
+                ).manifest
+                before, reads[:] = requests(cluster), []
+                restored, stats = await coordinator.reconstruct(manifest)
+                return restored, stats, requests(cluster) - before
+
+        restored, stats, delta = asyncio.run(scenario())
+        assert restored == data
+        k = params.k
+        # k - 1 pieces whole plus one coefficients-only (all k whole when
+        # n_file = k * n_piece), then the split piece's rows.
+        assert delta == collections.Counter(get_piece=k, get_rows=get_rows)
+        assert len(reads) == k + get_rows
+        # The same bytes as the paper's coefficient-first download.
+        assert stats.fragments_downloaded == params.n_file
+        assert stats.payload_bytes == params.aligned_file_size(len(data))
+        assert stats.coefficient_bytes == k * (
+            HEADER_SIZE + params.n_piece * params.n_file * 2
+        )
+        assert stats.pieces_probed == stats.pieces_used == k
