@@ -10,9 +10,9 @@ invariants generic linters cannot know about this codebase --
   only under chaos load;
 - **RL4xx (observability)**: durations come from the monotonic
   nanosecond clock, never from wall-clock subtraction;
-- **RL5xx (flow)**: CFG and call-graph analysis of the asyncio stack --
-  torn read-modify-write across an await, blocking work reachable from
-  a coroutine, and resource leak paths.
+- **RL5xx (flow)**: per-function statement walks and a call graph over
+  the asyncio stack -- torn read-modify-write across an await, blocking
+  work reachable from a coroutine, and resource leak paths.
 
 Run it with ``python -m repro.devtools.lint src tests`` (see
 ``docs/TESTING.md``, "Static analysis").  The imports here are lazy so

@@ -8,8 +8,8 @@ Usage (from the repo root, ``PYTHONPATH=src``)::
 
 Exit codes: 0 clean, 1 findings (or unparseable files), 2 usage error.
 
-Every run runs every rule family, the flow-sensitive RL5xx analysis
-(CFG + call graph, see ``docs/DEVTOOLS.md``) included;
+Every run runs every rule family, the RL5xx flow rules (statement
+walks and a call graph, see ``docs/DEVTOOLS.md``) included;
 ``--select``/``--ignore`` narrow the codes.  ``--format sarif`` /
 ``--sarif-output PATH`` emit SARIF 2.1.0 for CI annotation;
 ``--time-limit SECONDS`` fails the run when the whole pass exceeds the

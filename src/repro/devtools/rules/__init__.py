@@ -5,17 +5,17 @@ project's history:
 
 - **RL1xx** asyncio (swallowed exceptions);
 - **RL4xx** observability (wall-clock latency arithmetic);
-- **RL5xx** flow-sensitive async analysis (torn read-modify-write,
-  blocking reachability, resource leak paths).
+- **RL5xx** flow rules (torn read-modify-write, blocking reachability,
+  resource leak paths): per-function statement walks and a call graph.
 
 Every run runs every family; ``--select``/``--ignore`` filter by code.
 """
 
 from __future__ import annotations
 
-from repro.devtools.flow.rules import FlowRule
 from repro.devtools.rules.asyncio_rules import SwallowedExceptionRule
 from repro.devtools.rules.base import ProjectRule, Rule
+from repro.devtools.rules.flow_rules import FlowRule
 from repro.devtools.rules.obs_rules import WallClockLatencyRule
 
 __all__ = [

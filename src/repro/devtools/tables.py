@@ -25,8 +25,8 @@ __all__ = [
 ]
 
 #: Substrings identifying an ``async with`` context expression as a
-#: mutual exclusion primitive; the flow CFG records the locks held at
-#: each statement, which is what covers an RL501 read-to-write window.
+#: mutual exclusion primitive; the RL501 walk tracks the locks held at
+#: each statement, which is what covers a read-to-write window.
 LOCK_NAME_HINTS = ("lock", "sem", "mutex")
 
 #: :mod:`repro.gf.linalg` and :mod:`repro.gf.kernels` entry points that
@@ -56,7 +56,7 @@ GF_LINALG_FUNCTIONS = frozenset(
 WALL_CLOCK_FUNCTIONS = frozenset({"time", "monotonic"})
 
 # ---------------------------------------------------------------------------
-# RL5xx flow-analysis tables (see repro.devtools.flow)
+# RL5xx flow-rule tables (see repro.devtools.rules.flow_rules)
 # ---------------------------------------------------------------------------
 
 #: ``module.name(...)`` calls that block the calling thread; executing one

@@ -33,6 +33,7 @@ from repro.net.coordinator import (
     RepairStats,
 )
 from repro.net.errors import (
+    ChecksumError,
     InsufficientPeersError,
     NetError,
     NetReconstructError,
@@ -47,6 +48,7 @@ from repro.net.server import PeerDaemon
 
 __all__ = [
     "BlockStore",
+    "ChecksumError",
     "ConnectionPool",
     "Coordinator",
     "DEFAULT_POOL_SIZE",

@@ -47,7 +47,12 @@ import random
 import numpy as np
 
 from repro.gf.field import GaloisField
-from repro.net.errors import PeerUnavailableError, ProtocolError, RemoteError
+from repro.net.errors import (
+    ChecksumError,
+    PeerUnavailableError,
+    ProtocolError,
+    RemoteError,
+)
 from repro.net.faults import FaultKind, FaultPlan
 from repro.net.pool import ConnectionPool, PooledConnection
 from repro.net.protocol import (
@@ -283,8 +288,11 @@ class PeerClient:
     async def request(self, message: Message) -> Message:
         """Send one request, retrying transport failures with backoff.
 
-        The recorded RPC latency (``client.rpc_ns``) is what the caller
-        perceived: retries and their backoff sleeps included.
+        A reply whose payload fails its CRC32 changed in transit, like a
+        cut one, so it is retried too; a persistently failing peer
+        raises :class:`PeerUnavailableError`.  The recorded RPC latency
+        (``client.rpc_ns``) is what the caller perceived: retries and
+        their backoff sleeps included.
         """
         start = now_ns() if self.obs.enabled else 0
         last: Exception | None = None
@@ -295,6 +303,7 @@ class PeerClient:
                 OSError,
                 asyncio.TimeoutError,
                 asyncio.IncompleteReadError,
+                ChecksumError,
             ) as exc:
                 self._m_failures.inc()
                 last = exc

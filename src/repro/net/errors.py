@@ -5,7 +5,9 @@ so callers embedding the daemon or the coordinator can catch one type.
 The split mirrors where a failure is detected:
 
 - :class:`ProtocolError` -- the byte stream itself is malformed
-  (bad magic, unknown message type, oversized frame);
+  (bad magic, unknown message type, oversized frame); its subclass
+  :class:`ChecksumError` is a payload that changed in transit, which
+  the client retries like a cut frame;
 - :class:`RemoteError` -- the peer answered with a well-formed ERROR
   message (missing piece, corrupt blockstore object, bad request);
 - :class:`PeerUnavailableError` -- the peer could not be reached at all
@@ -26,6 +28,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "NetError",
     "ProtocolError",
+    "ChecksumError",
     "RemoteError",
     "PeerUnavailableError",
     "InsufficientPeersError",
@@ -40,6 +43,10 @@ class NetError(Exception):
 
 class ProtocolError(NetError):
     """The peer sent bytes that do not parse as a protocol frame."""
+
+
+class ChecksumError(ProtocolError):
+    """A frame parsed, but its payload failed its CRC32."""
 
 
 class RemoteError(NetError):

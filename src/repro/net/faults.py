@@ -29,7 +29,9 @@ Fault kinds (:class:`FaultKind`):
     Flip bytes inside the frame *body* (the header stays parseable) --
     bit rot on the wire.  Piece and fragment payloads carry a CRC32
     (format v2), so downstream parsing raises ``SerializationError``
-    and the coordinator must substitute another piece.
+    and the coordinator must substitute another piece.  A ``ROWS``
+    reply carries its own CRC32: the client raises ``ChecksumError``
+    and retries the request.
 ``crash``
     Kill the daemon between request and response: the listener closes,
     every open connection is severed, and the in-flight request never

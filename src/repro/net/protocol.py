@@ -39,7 +39,9 @@ Responses (daemon -> client):
     FRAGMENT     fragment blob                REPAIR_READ answer
     ROWS         q u8, pad u8, pad u16,
                  n_rows u32, l_frag u32,
-                 elements                     GET_ROWS answer
+                 crc32 u32, elements          GET_ROWS answer; the
+                                              CRC32 of the elements
+                                              rejects a corrupted reply
     STATS        UTF-8 JSON                   the daemon's metrics
                                               snapshot, versioned by its
                                               own ``format`` field
@@ -58,12 +60,13 @@ import dataclasses
 import enum
 import json
 import struct
+import zlib
 from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.gf.field import GF, GaloisField
-from repro.net.errors import ProtocolError
+from repro.net.errors import ChecksumError, ProtocolError
 
 __all__ = [
     "PROTOCOL_MAGIC",
@@ -105,7 +108,7 @@ MAX_BODY_BYTES = 1 << 28
 _FRAME = struct.Struct("<4sBBBBI")
 #: Bytes before every frame body: magic, version, type, flags, pad, length.
 FRAME_HEADER_SIZE = _FRAME.size
-_ROWS_HEADER = struct.Struct("<BBHII")
+_ROWS_HEADER = struct.Struct("<BBHIII")
 
 #: GET_PIECE flag: return only the coefficient rows (l_frag = 0).
 FLAG_COEFFS_ONLY = 0x01
@@ -303,7 +306,9 @@ class Rows(Message):
 
     Carries no coefficient rows -- by the time a client asks for data
     rows it has already planned the decode from coefficients alone, so
-    shipping them again would be pure overhead (paper section 3.2).
+    shipping them again would be pure overhead (paper section 3.2).  The
+    header's CRC32 covers the elements: rows are not a stored piece, so
+    nothing else would catch a flipped byte before it reached the decode.
     """
 
     TYPE: ClassVar[MessageType] = MessageType.ROWS
@@ -313,19 +318,22 @@ class Rows(Message):
     l_frag: int = 0
 
     def encode_body_parts(self) -> list[Buffer]:
-        return [_ROWS_HEADER.pack(self.q, 0, 0, self.n_rows, self.l_frag), self.data]
+        crc = zlib.crc32(self.data)
+        return [_ROWS_HEADER.pack(self.q, 0, 0, self.n_rows, self.l_frag, crc), self.data]
 
     @classmethod
     def decode_body(cls, body: bytes, flags: int) -> "Rows":
         if len(body) < _ROWS_HEADER.size:
             raise ProtocolError("ROWS body too short")
-        q, _, _, n_rows, l_frag = _ROWS_HEADER.unpack_from(body)
+        q, _, _, n_rows, l_frag, crc = _ROWS_HEADER.unpack_from(body)
         data = memoryview(body)[_ROWS_HEADER.size :]
         if q not in (8, 16):
             raise ProtocolError(f"ROWS: unsupported field exponent q={q}")
         element_size = GF(q).element_size
         if len(data) != n_rows * l_frag * element_size:
             raise ProtocolError("ROWS element payload length mismatch")
+        if zlib.crc32(data) != crc:
+            raise ChecksumError("ROWS payload CRC32 mismatch")
         return cls(q=q, data=data, n_rows=n_rows, l_frag=l_frag)
 
     def to_matrix(self, field: GaloisField) -> np.ndarray:

@@ -20,3 +20,7 @@ class Digester:
 
     def sync_method_may_block(self):
         time.sleep(0.1)  # not async and never called from async here
+
+    async def sleeps_in_a_lambda_on_the_executor(self, loop, executor):
+        job = lambda: time.sleep(0.1)  # the body runs on the executor
+        await loop.run_in_executor(executor, job)

@@ -22,3 +22,38 @@ class Dialer:
             await conn.send(payload)
         finally:
             conn.release()
+
+    async def catch_all_releases_and_reraises(self, pool, payload):
+        conn = await pool.acquire()
+        try:
+            await conn.send(payload)
+        except BaseException:  # always matches: nothing propagates past it
+            conn.release()
+            raise
+        conn.release()
+
+    async def handler_raise_runs_finally(self, pool, payload, report):
+        conn = await pool.acquire()
+        try:
+            await conn.send(payload)
+        except ValueError:
+            report()  # a raise here, or one no handler matches, runs the finally
+        finally:
+            conn.release()
+
+    async def releases_every_iteration(self, pool, batches):
+        for batch in batches:
+            conn = await pool.acquire()
+            try:
+                await conn.send(batch)
+            finally:
+                conn.release()
+
+    async def break_then_release(self, pool, batches):
+        conn = await pool.acquire()
+        for batch in batches:
+            if not batch:
+                break
+            last = batch
+        conn.release()
+        return last

@@ -13,7 +13,7 @@ import ast
 import pathlib
 import textwrap
 
-from repro.devtools.flow import CallGraph, analyze_file
+from repro.devtools.rules.flow_rules import CallGraph, analyze_file
 
 
 class Ctx:
@@ -26,12 +26,13 @@ class Ctx:
 
 
 def info(path: str, source: str):
-    return analyze_file(Ctx(path, source))
+    summaries, _ = analyze_file(Ctx(path, source))
+    return summaries
 
 
 def rl502_messages(*infos):
-    graph = CallGraph(list(infos))
-    return [message for _, _, _, message in graph.iter_rl502()]
+    graph = CallGraph([summary for summaries in infos for summary in summaries])
+    return [finding.message for finding in graph.iter_rl502()]
 
 
 # ------------------------------------------------------------- resolution

@@ -1,230 +1,317 @@
-"""Unit tests for the flow engine's CFG builder.
+"""Control-flow cases the RL501/RL503 statement walks must get right.
 
-Structural properties the RL5xx passes rely on: branch joins, loop
-back-edges, lock-context annotation from ``async with``, and -- most
-load-bearing -- that every path into a ``try/finally`` observes the
-finally body before reaching exit, because that is exactly how RL503
-credits a ``finally: conn.close()`` release.
+Each case is checked through the rules themselves, on a small inline
+source: branch joins, loop back edges and ``break`` exits, the lock
+context of ``async with``, and -- most load-bearing -- that every path
+into a ``try/finally`` runs the finally body before it leaves the
+function, because that is how RL503 credits a ``finally:
+conn.release()``.  Every case pairs a clean function with a flagged
+near miss that differs only in the control-flow shape under test, so a
+walk that ignored the shape would fail one side.
 """
 
 from __future__ import annotations
 
-import ast
+import re
 import textwrap
 
-from repro.devtools.flow import build_cfg
+from repro.devtools.lint import run_lint
 
 
-def func_cfg(source: str):
-    tree = ast.parse(textwrap.dedent(source).lstrip("\n"))
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return build_cfg(node)
-    raise AssertionError("no function in source")
-
-
-def node_at(cfg, line: int, part: str | None = None):
-    for node in cfg.nodes:
-        if node.line == line and (part is None or node.part == part):
-            return node
-    raise AssertionError(f"no node at line {line} (part={part})")
-
-
-def assert_exit_only_via(cfg, start: int, required: int):
-    """Every path from ``start`` (over normal and raise edges) must hit
-    node ``required`` before it can reach function exit."""
-    stack, seen = [start], set()
-    while stack:
-        nid = stack.pop()
-        if nid in seen:
-            continue
-        seen.add(nid)
-        if nid == required:
-            continue
-        assert nid != cfg.exit, "exit reached without passing the required node"
-        stack.extend(cfg.successors(nid))
+def flagged(tmp_path, source: str) -> list[tuple[str, str]]:
+    """``(code, function name)`` for each RL5xx finding on ``source``."""
+    target = tmp_path / "case.py"
+    target.write_text(
+        "import asyncio\n\n" + textwrap.dedent(source).lstrip("\n"), encoding="utf-8"
+    )
+    report = run_lint([target], force_role="src", select=["RL5"])
+    assert not report.errors, [error.render() for error in report.errors]
+    return sorted(
+        (finding.code, re.search(r" in `(\w+)`", finding.message).group(1))
+        for finding in report.findings
+    )
 
 
 # ---------------------------------------------------------------- shape
 
 
-def test_if_else_branches_rejoin():
-    cfg = func_cfg(
+def test_if_else_branches_rejoin(tmp_path):
+    # The await on one branch reaches the write after the join; a release
+    # after the join covers both branches.
+    assert flagged(
+        tmp_path,
         """
-        def f(x):
+        class C:
+            async def await_on_one_branch(self, x):
+                v = self._count
+                if x:
+                    await asyncio.sleep(0)
+                else:
+                    pass
+                self._count = v + 1
+
+            async def no_await_on_either(self, x):
+                v = self._count
+                if x:
+                    a = 1
+                else:
+                    a = 2
+                self._count = v + a
+
+        async def release_after_join(pool, x):
+            conn = await pool.acquire()
             if x:
                 a = 1
             else:
                 a = 2
+            conn.release()
             return a
-        """
-    )
-    test = node_at(cfg, 2, "test")
-    then_stmt = node_at(cfg, 3)
-    else_stmt = node_at(cfg, 5)
-    ret = node_at(cfg, 6)
-    assert then_stmt.nid in test.succs and else_stmt.nid in test.succs
-    assert ret.nid in then_stmt.succs and ret.nid in else_stmt.succs
-    assert cfg.exit in ret.succs
+
+        async def release_on_one_branch(pool, x):
+            conn = await pool.acquire()
+            if x:
+                conn.release()
+            else:
+                a = 2
+        """,
+    ) == [("RL501", "await_on_one_branch"), ("RL503", "release_on_one_branch")]
 
 
-def test_while_loop_has_back_edge_and_break_exit():
-    cfg = func_cfg(
+def test_while_loop_has_back_edge_and_break_exit(tmp_path):
+    # The read at the bottom of one iteration meets the write at the top
+    # of the next (back edge); ``break`` leaves past the loop's ``else``
+    # but reaches the statement after the loop.
+    assert flagged(
+        tmp_path,
         """
-        def f(x):
+        class C:
+            async def read_carried_round_the_loop(self, x):
+                v = 0
+                while x:
+                    self._total = v + 1
+                    v = self._total
+                    await asyncio.sleep(0)
+
+        async def break_then_release(pool, x):
+            conn = await pool.acquire()
             while x:
                 if x > 2:
                     break
                 x -= 1
-            return x
-        """
-    )
-    test = node_at(cfg, 2, "test")
-    decrement = node_at(cfg, 5)
-    brk = node_at(cfg, 4)
-    ret = node_at(cfg, 6)
-    assert test.nid in decrement.succs  # back edge
-    assert ret.nid in brk.succs  # break jumps past the loop
-    assert ret.nid in test.succs  # loop-done edge
+            conn.release()
+
+        async def break_skips_else_release(pool, x):
+            conn = await pool.acquire()
+            while x:
+                if x > 2:
+                    break
+                x -= 1
+            else:
+                conn.release()
+        """,
+    ) == [("RL501", "read_carried_round_the_loop"), ("RL503", "break_skips_else_release")]
 
 
 # ----------------------------------------------------------- lock context
 
 
-def test_async_with_lock_annotates_body_nodes():
-    cfg = func_cfg(
+def test_async_with_lock_annotates_body_nodes(tmp_path):
+    # A lock covers only while its block is open, and another object's
+    # lock of the same name is a different lock.
+    assert flagged(
+        tmp_path,
         """
         class C:
-            async def m(self):
+            async def own_lock(self):
                 async with self._lock:
-                    self.x = 1
+                    v = self._count
+                    await asyncio.sleep(0)
+                    self._count = v + 1
+
+            async def other_objects_lock(self, peer):
                 async with peer._lock:
-                    self.y = 2
-                self.z = 3
+                    v = self._count
+                async with self._lock:
+                    await asyncio.sleep(0)
+                    self._count = v + 1
+
+            async def await_after_the_block(self):
+                async with self._lock:
+                    v = self._count
+                await asyncio.sleep(0)
+                self._count = v + 1
         """,
-    )
-    # Another object's lock of the same name is a different lock: it
-    # cannot cover a window on a ``self`` attribute (RL501).
-    assert node_at(cfg, 4).locks == frozenset({"self._lock"})
-    assert node_at(cfg, 6).locks == frozenset({"_lock"})
-    assert node_at(cfg, 7).locks == frozenset()
+    ) == [("RL501", "await_after_the_block"), ("RL501", "other_objects_lock")]
 
 
-def test_nested_async_with_accumulates_locks():
-    cfg = func_cfg(
+def test_nested_async_with_accumulates_locks(tmp_path):
+    # A read under both locks is still covered by the outer one after the
+    # inner block closes; a read under the inner lock alone is not.
+    assert flagged(
+        tmp_path,
         """
         class C:
-            async def m(self):
+            async def read_under_both(self):
                 async with self._outer_lock:
                     async with self._inner_lock:
-                        self.x = 1
+                        v = self._count
+                    await asyncio.sleep(0)
+                    self._count = v + 1
+
+            async def read_under_inner_only(self):
+                async with self._inner_lock:
+                    v = self._count
+                async with self._outer_lock:
+                    await asyncio.sleep(0)
+                    self._count = v + 1
         """,
-    )
-    innermost = node_at(cfg, 5)
-    assert innermost.locks == frozenset({"self._outer_lock", "self._inner_lock"})
+    ) == [("RL501", "read_under_inner_only")]
 
 
-def test_non_lock_context_manager_adds_no_lock():
-    cfg = func_cfg(
+def test_non_lock_context_manager_adds_no_lock(tmp_path):
+    assert flagged(
+        tmp_path,
         """
         class C:
-            async def m(self):
+            async def under_a_session(self):
                 async with self.session:
-                    self.x = 1
+                    v = self._count
+                    await asyncio.sleep(0)
+                    self._count = v + 1
         """,
-    )
-    assert node_at(cfg, 4).locks == frozenset()
+    ) == [("RL501", "under_a_session")]
 
 
 # ------------------------------------------------------------ try/finally
 
 
-def test_return_routes_through_finally():
-    cfg = func_cfg(
+def test_return_routes_through_finally(tmp_path):
+    assert flagged(
+        tmp_path,
         """
-        async def f(conn):
+        async def returns_through_finally(pool):
+            conn = await pool.acquire()
             try:
                 return 1
             finally:
                 conn.release()
-        """
-    )
-    ret = node_at(cfg, 3)
-    release = node_at(cfg, 5)
-    assert_exit_only_via(cfg, ret.nid, release.nid)
+
+        async def returns_before_release(pool, x):
+            conn = await pool.acquire()
+            if x:
+                return 1
+            conn.release()
+        """,
+    ) == [("RL503", "returns_before_release")]
 
 
-def test_exception_in_try_body_routes_through_finally():
-    cfg = func_cfg(
+def test_exception_in_try_body_routes_through_finally(tmp_path):
+    # A call may raise: only a finally catches that path.
+    assert flagged(
+        tmp_path,
         """
-        async def f(conn):
+        async def raises_through_finally(pool):
+            conn = await pool.acquire()
             try:
                 risky()
             finally:
                 conn.release()
-        """
-    )
-    risky = node_at(cfg, 3)
-    release = node_at(cfg, 5)
-    assert risky.raise_succs, "a call must have a raise edge"
-    assert_exit_only_via(cfg, risky.nid, release.nid)
+
+        async def raises_before_release(pool):
+            conn = await pool.acquire()
+            risky()
+            conn.release()
+        """,
+    ) == [("RL503", "raises_before_release")]
 
 
-def test_finally_head_carries_no_raise_edges():
-    cfg = func_cfg(
+def test_finally_head_carries_no_raise_edges(tmp_path):
+    # Entering the finally body raises nothing, nor does a statement
+    # without a call; a call before the release inside it may.
+    assert flagged(
+        tmp_path,
         """
-        def f(conn):
+        async def plain_statement_before_release(pool):
+            conn = await pool.acquire()
             try:
                 risky()
             finally:
+                done = True
                 conn.release()
-        """
-    )
-    head = node_at(cfg, 2, "finally")
-    assert head.raise_succs == []
+            return done
+
+        async def call_before_release(pool, log):
+            conn = await pool.acquire()
+            try:
+                risky()
+            finally:
+                log.write("done")
+                conn.release()
+        """,
+    ) == [("RL503", "call_before_release")]
 
 
-def test_catch_all_handler_head_cannot_propagate():
-    cfg = func_cfg(
+def test_catch_all_handler_head_cannot_propagate(tmp_path):
+    assert flagged(
+        tmp_path,
         """
-        def f():
+        async def catch_all_releases(pool):
+            conn = await pool.acquire()
             try:
                 risky()
             except BaseException:
-                cleanup()
+                conn.release()
                 raise
-        """
-    )
-    head = node_at(cfg, 4, "except")
-    assert head.raise_succs == []
+            conn.release()
+
+        async def bare_except_releases(pool):
+            conn = await pool.acquire()
+            try:
+                risky()
+            except:
+                conn.release()
+                raise
+            conn.release()
+        """,
+    ) == []
 
 
-def test_typed_handler_head_keeps_propagation_edge():
-    cfg = func_cfg(
+def test_typed_handler_head_keeps_propagation_edge(tmp_path):
+    # An exception the handler does not match leaves still holding.
+    assert flagged(
+        tmp_path,
         """
-        def f():
+        async def typed_handler_releases(pool):
+            conn = await pool.acquire()
             try:
                 risky()
             except ValueError:
-                cleanup()
-        """
-    )
-    head = node_at(cfg, 4, "except")
-    assert cfg.exit in head.raise_succs
+                conn.release()
+                raise
+            conn.release()
+        """,
+    ) == [("RL503", "typed_handler_releases")]
 
 
-def test_handler_body_exception_still_runs_finally():
-    cfg = func_cfg(
+def test_handler_body_exception_still_runs_finally(tmp_path):
+    assert flagged(
+        tmp_path,
         """
-        def f(conn):
+        async def handler_raise_runs_finally(pool):
+            conn = await pool.acquire()
             try:
                 risky()
             except ValueError:
                 rethrow()
             finally:
                 conn.release()
-        """
-    )
-    rethrow = node_at(cfg, 5)
-    release = node_at(cfg, 7)
-    assert_exit_only_via(cfg, rethrow.nid, release.nid)
+
+        async def handler_raise_skips_release(pool):
+            conn = await pool.acquire()
+            try:
+                risky()
+            except ValueError:
+                rethrow()
+            conn.release()
+        """,
+    ) == [("RL503", "handler_raise_skips_release")]

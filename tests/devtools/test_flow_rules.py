@@ -15,11 +15,11 @@ from repro.devtools.lint import run_lint
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-def lint_flow(*names: str, role: str = "src"):
+def lint_flow(*names: str, role: str = "src", select=("RL5",)):
     report = run_lint(
         [FIXTURES / name for name in names],
         force_role=role,
-        select=["RL5"],
+        select=list(select),
     )
     assert not report.errors, [error.render() for error in report.errors]
     return report
@@ -41,6 +41,36 @@ def test_rl501_flags_torn_read_modify_write():
 
 def test_rl501_good_fixture_is_clean():
     assert lint_flow("rl501_good.py").findings == []
+
+
+def test_rl501_flags_the_windows_seen_in_history():
+    # A daemon's start/stop at early commits and the benchmark harness's
+    # cycle: straight-line read -> await -> write.
+    report = lint_flow("rl501_shapes_bad.py", select=["RL501"])
+    history = [finding for finding in report.findings if finding.line <= 43]
+    assert [(finding.line, finding.message.split("`")[1]) for finding in history] == [
+        (17, "self._server"),
+        (20, "self.port"),
+        (27, "self._server"),
+        (43, "self._spares"),
+    ]
+
+
+def test_rl501_lock_context_comes_from_async_with():
+    # Nested lock blocks and a semaphore cover (rl501_good.py); a context
+    # manager that is no lock covers nothing.
+    assert lint_flow("rl501_good.py").findings == []
+    report = lint_flow("rl501_shapes_bad.py", select=["RL501"])
+    by_line = {finding.line: finding.message for finding in report.findings}
+    assert "`non_lock_context`" in by_line[57]
+
+
+def test_rl501_follows_branches_loops_and_handlers():
+    # A read on one branch and an await on the other never meet
+    # (rl501_good.py); a read carried round a loop, or into a handler,
+    # meets the await that comes first.
+    report = lint_flow("rl501_shapes_bad.py", select=["RL501"])
+    assert codes_and_lines(report)[-2:] == [("RL501", 63), ("RL501", 71)]
 
 
 # ---------------------------------------------------------------- RL502
@@ -65,6 +95,23 @@ def test_rl502_good_fixture_is_clean():
     assert lint_flow("rl502_good.py").findings == []
 
 
+def test_rl502_chain_five_hops_deep():
+    report = lint_flow("rl502_deep_chain.py")
+    assert codes_and_lines(report) == [("RL502", 12)]
+    assert (
+        "Daemon.handle_connection -> Daemon._timed_dispatch -> Daemon._dispatch "
+        "-> Daemon._store_piece -> BlockStore.put -> digest_bytes"
+    ) in report.findings[0].message
+
+
+def test_rl502_unresolved_receiver_resolves_to_nothing():
+    # ``hashlib.sha256(data).digest()`` must not land on the project's
+    # ``BlockStore.digest``: only the hashing itself is reported.
+    report = lint_flow("rl502_unresolved_receiver.py")
+    assert codes_and_lines(report) == [("RL502", 19)]
+    assert "hashlib.sha256()" in report.findings[0].message
+
+
 def test_rl502_chain_crosses_modules():
     report = lint_flow("rl502_chain_entry.py", "rl502_chain_helper.py")
     assert codes_and_lines(report) == [("RL502", 7)]
@@ -81,6 +128,24 @@ def test_rl503_flags_leak_paths():
     assert codes_and_lines(report) == [("RL503", 8), ("RL503", 15)]
     assert "`writer`" in report.findings[0].message
     assert "`conn`" in report.findings[1].message
+
+
+def test_rl503_flags_the_leaks_seen_in_history():
+    # A pool's acquire with a raising call before the hand-off, and the
+    # benchmark harness's setup loop that closes only on a failed start.
+    report = lint_flow("rl503_shapes_bad.py")
+    assert codes_and_lines(report)[:2] == [("RL503", 18), ("RL503", 39)]
+    assert "`writer`" in report.findings[0].message
+    assert "`session.start()`" in report.findings[1].message
+
+
+def test_rl503_follows_exception_edges_and_loop_exits():
+    # A typed handler lets other exceptions leave holding the resource, a
+    # break skips a release in the loop's else; a catch-all handler and a
+    # release after the loop are clean (rl503_good.py).
+    report = lint_flow("rl503_shapes_bad.py")
+    assert codes_and_lines(report)[2:] == [("RL503", 50), ("RL503", 60)]
+    assert lint_flow("rl503_good.py").findings == []
 
 
 def test_rl503_good_fixture_is_clean():

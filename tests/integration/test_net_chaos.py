@@ -247,3 +247,29 @@ def test_faults_show_up_in_the_metrics_snapshot(tmp_path):
         if entry["name"] == "coordinator.helpers_substituted_total"
     ]
     assert substituted and substituted[0] >= 1
+
+
+def test_corrupted_rows_reply_is_rejected_and_retried(tmp_path):
+    """A GET_ROWS reply corrupted in flight must fail its CRC32 check and
+    be fetched again, never decode into wrong bytes.  The rule fires once
+    per key, so every split-piece candidate's first reply is corrupted:
+    dropping the piece instead of retrying would run out of pieces."""
+    params = RCParams(8, 8, 10, 1)  # n_file % n_piece != 0: one split piece
+    data = bytes(np.random.default_rng(43).integers(0, 256, 10_000, dtype=np.uint8))
+
+    async def scenario():
+        plan = FaultPlan(
+            [FaultRule(kind="corrupt", side="server", operation="get_rows", times=1)],
+            seed=3,
+        )
+        async with (
+            LocalCluster(16, tmp_path, seed=5, fault_plan=plan) as cluster,
+            Coordinator(params, rng=np.random.default_rng(11)) as coordinator,
+        ):
+            stats = await coordinator.insert(data, cluster.addresses, "f")
+            restored, _ = await coordinator.reconstruct(stats.manifest)
+            return restored, plan.history()
+
+    restored, history = asyncio.run(asyncio.wait_for(scenario(), timeout=HARD_TIMEOUT))
+    assert history, "the corrupt rule never fired"
+    assert restored == data

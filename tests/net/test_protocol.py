@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gf.field import GF
-from repro.net.errors import ProtocolError
+from repro.net.errors import ChecksumError, ProtocolError
 from repro.net.protocol import (
     FLAG_COEFFS_ONLY,
     MAX_BODY_BYTES,
@@ -192,6 +192,14 @@ class TestMalformed:
         ) + b"abc"
         with pytest.raises(ProtocolError, match="no body"):
             decode_message(frame)
+
+    def test_rows_flipped_payload_byte_rejected(self):
+        field = GF(16)
+        matrix = field.random((3, 5), np.random.default_rng(3))
+        frame = bytearray(encode_message(Rows.from_matrix(field, matrix)))
+        frame[-7] ^= 0x01  # one element byte; the header still parses
+        with pytest.raises(ChecksumError, match="CRC32"):  # a ProtocolError
+            decode_message(bytes(frame))
 
     def test_get_rows_row_list_mismatch(self):
         good = encode_message(GetRows(key="k", rows=(1, 2)))
